@@ -27,7 +27,6 @@ from .core import (
     UnequalLengths,
     Word,
     format_instance,
-    multiset_signature,
     parse_instance,
 )
 from .disentangle import Disentanglement, Infeasible, disentangle
@@ -57,7 +56,7 @@ from .pipeline import (
     rs_consensus_swap,
     sum_consensus_swap,
 )
-from .sh_metric import SHWitness, greedy_swap_positions, sh_cost, sh_distance
+from .sh_metric import SHWitness, sh_cost, sh_distance
 from .sh_radius import BranchMove, radius_consensus_sh
 from .sh_sum import DPState, sum_consensus_sh, swap_set
 from .swaps import (
@@ -92,7 +91,6 @@ __all__ = [
     "UnequalLengths",
     "Word",
     "format_instance",
-    "multiset_signature",
     "parse_instance",
     "Disentanglement",
     "Infeasible",
@@ -118,7 +116,6 @@ __all__ = [
     "rs_consensus_swap",
     "sum_consensus_swap",
     "SHWitness",
-    "greedy_swap_positions",
     "sh_cost",
     "sh_distance",
     "BranchMove",

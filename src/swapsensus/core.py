@@ -10,7 +10,6 @@ indexes 0-based.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "ConsensusAnswer",
     "parse_instance",
     "format_instance",
-    "multiset_signature",
     "INF",
 ]
 
@@ -277,8 +275,3 @@ def parse_instance(text: str) -> Instance:
 def format_instance(inst: Instance) -> str:
     """Inverse of parse_instance (modulo comments and blank lines)."""
     return "\n".join(inst.words) + "\n"
-
-
-def multiset_signature(w: Word) -> Counter:
-    """Symbol -> occurrence count; equal for any two matching words."""
-    return Counter(w)

@@ -10,15 +10,17 @@ per-string budgets of consumed swaps.
 
 Infeasibility (no common match exists) is detected in layers: a symbol
 multiset precheck, per-step legality checks inside intervals, and a final
-pairwise-matching certification as the safety net.
+O(kn) pairwise-matching certification as the safety net: the results' swap
+strings against the first result have no adjacent ones in their union.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import Instance, NotMatching, Word, multiset_signature
-from .swaps import swap_string, xor_compose
+from .core import Instance, NotMatching, Word
+from .swaps import swap_string
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
@@ -46,9 +48,9 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     words = [list(w) for w in inst.words]
     k, n = inst.k, inst.n
 
-    sig0 = multiset_signature(inst.words[0])
+    sig0 = Counter(inst.words[0])
     for j in range(1, k):
-        if multiset_signature(inst.words[j]) != sig0:
+        if Counter(inst.words[j]) != sig0:
             return Infeasible(
                 f"word {j + 1} has a different symbol multiset than word 1"
             )
@@ -162,18 +164,17 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     strings_prime = tuple("".join(w) for w in words)
 
     # Safety net: all results must match the first one, and all pairwise XORs
-    # of their swap strings must stay free of adjacent ones (which certifies
-    # pairwise matching through the three-way analysis).
+    # of their swap strings must be free of "11" (pairwise matching, by the
+    # three-way analysis). Each swap string is valid, so an XOR holds "11" at
+    # (i, i+1) exactly when one string has a 1 at i and the other a 1 at i+1:
+    # exactly when the union of all their ones holds adjacent positions.
     try:
         hs = [swap_string(strings_prime[0], w) for w in strings_prime]
     except NotMatching:
         return Infeasible("certification failed: results do not pairwise match")
-    for a in range(k):
-        for b in range(a + 1, k):
-            if "11" in xor_compose(hs[a], hs[b]):
-                return Infeasible(
-                    "certification failed: results do not pairwise match"
-                )
+    ones = {p for h in hs for p in h.ones()}
+    if any(p + 1 in ones for p in ones):
+        return Infeasible("certification failed: results do not pairwise match")
 
     return Disentanglement(
         strings_prime=strings_prime,

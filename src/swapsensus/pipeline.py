@@ -1,18 +1,27 @@
 """Consensus under the swap distance: disentangle, encode, solve bits, decode.
 
-Every solver follows the same four stages. (1) Disentangle the instance into
-pairwise-matching words, consuming per-string budgets of necessary swaps.
-(2) Encode each word as its swap string against the first disentangled word;
-budget additivity makes swap distances to any common match equal to the budget
-plus the Hamming distance between encodings. (3) Solve the corresponding
-budgeted Hamming problem on the encodings. (4) Decode the winning bit string
-back into a word and certify every distance from scratch; a disagreement
-raises CertificationFailure, which always means an implementation bug.
+Every solver runs the same stages in one shared helper. (1) Disentangle the
+instance into pairwise-matching words, consuming per-string budgets of
+necessary swaps; ``disentangle`` certifies the pairwise matching, which makes
+every bit string whose ones lie in the union of the encodings' ones a valid
+swap string. Prechecks on those budgets end hopeless radius and radius-sum
+queries early. (2) Encode each word as its swap string against the first
+disentangled word; budget additivity makes swap distances to any common
+match equal to the budget plus the Hamming distance between encodings.
+(3) Solve the corresponding budgeted Hamming problem on the encodings; the
+objective's solver is the only stage that differs. Each Hamming solver only
+returns symbols that occur in its input column, so the chosen ones stay in
+that union. (4) Decode the winning bit string back into a word and certify
+every distance from scratch, together with the radius and sum bounds; a
+disagreement raises CertificationFailure, which always means an
+implementation bug. ``stats.elapsed`` is the wall time of stages 1 to 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable
 
 from .core import (
     BudgetedInstance,
@@ -42,47 +51,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwapPipelineTrace:
-    """The full pipeline state: stages 2 through 7 of a solve."""
+    """The full pipeline state of a solve: the output of stages 1 to 4."""
 
     disentanglement: Disentanglement
     encoded: tuple[SwapStr, ...]
     h_star: SwapStr
     decoded: Word
-
-
-def _encode(dz: Disentanglement) -> tuple[SwapStr, ...]:
-    """Swap strings of every disentangled word against the first one.
-
-    Also proves the compatibility invariant: across the whole family, no two
-    encodings carry ones at adjacent positions, so any bit string whose ones
-    are a subset of the union of input ones is a valid swap string.
-    """
-    base = dz.strings_prime[0]
-    encoded = tuple(swap_string(base, w) for w in dz.strings_prime)
-    if encoded[0].popcount != 0:
-        raise CertificationFailure("first encoding is not all zeros")
-    union = [False] * (len(base) - 1)
-    for h in encoded:
-        for i, b in enumerate(h.bits):
-            if b == "1":
-                union[i] = True
-    if any(a and b for a, b in zip(union, union[1:])):
-        raise CertificationFailure("adjacent ones across encoded swap strings")
-    return encoded
-
-
-def _normalize(bits: str, encoded: tuple[SwapStr, ...]) -> str:
-    """Zero any one outside the union of input ones (never hurts a distance)."""
-    union = set()
-    for h in encoded:
-        union.update(i for i, b in enumerate(h.bits) if b == "1")
-    return "".join(b if i in union else "0" for i, b in enumerate(bits))
-
-
-def _decode(dz: Disentanglement, encoded: tuple[SwapStr, ...], bits: str) -> tuple[SwapStr, Word]:
-    base = dz.strings_prime[0]
-    h_star = SwapStr(_normalize(bits, encoded), len(base))  # validity checked
-    return h_star, apply_swaps(base, h_star)
 
 
 def _certify_budget_additivity(
@@ -109,6 +83,65 @@ def _certify_budget_additivity(
     return dists
 
 
+def _solve(
+    inst: Instance,
+    d: int | None,
+    D: int | None,
+    solve_bits: Callable[[BudgetedInstance], ConsensusAnswer],
+) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
+    """Run every stage around ``solve_bits``; d, D: radius and sum bounds, or None."""
+    start = perf_counter()
+    answer, trace = _stages(inst, d, D, solve_bits)
+    answer.stats.elapsed = perf_counter() - start
+    return answer, trace
+
+
+def _stages(
+    inst: Instance,
+    d: int | None,
+    D: int | None,
+    solve_bits: Callable[[BudgetedInstance], ConsensusAnswer],
+) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
+    dz = disentangle(inst)
+    if isinstance(dz, Infeasible):
+        return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
+    if d is not None and any(x > d for x in dz.budgets):
+        worst = max(range(inst.k), key=lambda j: dz.budgets[j])
+        return (
+            ConsensusAnswer.none(
+                f"word {worst + 1} needs {dz.budgets[worst]} necessary swaps > d={d}"
+            ),
+            None,
+        )
+    if D is not None and dz.total > D:
+        return (
+            ConsensusAnswer.none(f"necessary swaps alone sum to {dz.total} > D={D}"),
+            None,
+        )
+
+    base = dz.strings_prime[0]
+    encoded = tuple(swap_string(base, w) for w in dz.strings_prime)
+    if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
+        stats, bits = SearchStats(), ""
+    else:
+        rows = Instance(tuple(h.bits for h in encoded))
+        ham = solve_bits(BudgetedInstance(rows, dz.budgets))
+        if not ham.feasible:
+            bounds = f"swap radius {d}" + ("" if D is None else f" and sum {D}")
+            return ConsensusAnswer.none(f"no common match within {bounds}", ham.stats), None
+        stats, bits = ham.stats, ham.solution
+
+    h_star = SwapStr(bits, len(base))  # validity checked
+    decoded = apply_swaps(base, h_star)
+    dists = _certify_budget_additivity(inst, dz, encoded, h_star, decoded)
+    if (d is not None and max(dists) > d) or (D is not None and sum(dists) > D):
+        raise CertificationFailure(
+            f"decoded witness violates bounds: max {max(dists)}, sum {sum(dists)}"
+        )
+    answer = ConsensusAnswer.found(decoded, dists, stats)
+    return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)
+
+
 def sum_consensus_swap(
     inst: Instance, D: int | None = None
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
@@ -117,24 +150,12 @@ def sum_consensus_swap(
     The optimal bits are the per-position majority of the encodings (ties to
     0), which is exactly the Hamming sum-consensus of the bit rows.
     """
-    dz = disentangle(inst)
-    if isinstance(dz, Infeasible):
-        return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
-    encoded = _encode(dz)
-    ham = sum_consensus_ham(Instance(tuple(h.bits for h in encoded))) if inst.n > 1 else None
-    bits = ham.solution if ham is not None else ""
-    h_star, decoded = _decode(dz, encoded, bits)
-    dists = _certify_budget_additivity(inst, dz, encoded, h_star, decoded)
-    stats = SearchStats(dp_states=0, nodes_expanded=0)
-    if ham is not None:
-        stats.elapsed = ham.stats.elapsed
-    answer = ConsensusAnswer.found(decoded, dists, stats)
-    trace = SwapPipelineTrace(dz, encoded, h_star, decoded)
-    if D is not None and answer.sum_distance > D:
+    answer, trace = _solve(inst, None, None, lambda b: sum_consensus_ham(b.instance))
+    if answer.feasible and D is not None and answer.sum_distance > D:
         return (
             ConsensusAnswer.none(
                 f"minimum sum of swap distances is {int(answer.sum_distance)} > {D}",
-                stats,
+                answer.stats,
             ),
             trace,
         )
@@ -145,85 +166,15 @@ def radius_consensus_swap(
     inst: Instance, d: int
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Find a word within swap distance d of every input, if one exists."""
-    dz = disentangle(inst)
-    if isinstance(dz, Infeasible):
-        return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
-    if any(x > d for x in dz.budgets):
-        worst = max(range(inst.k), key=lambda j: dz.budgets[j])
-        return (
-            ConsensusAnswer.none(
-                f"word {worst + 1} needs {dz.budgets[worst]} necessary swaps > d={d}"
-            ),
-            None,
-        )
-    encoded = _encode(dz)
-    if inst.n == 1:
-        witness = dz.strings_prime[0]
-        dists = tuple(swap_distance(w, witness) for w in inst.words)
-        return ConsensusAnswer.found(witness, dists), SwapPipelineTrace(
-            dz, encoded, SwapStr("", 1), witness
-        )
-    q = MixedRadiusQuery(
-        BudgetedInstance(Instance(tuple(h.bits for h in encoded)), dz.budgets), d
+    return _solve(
+        inst, d, None, lambda b: radius_consensus_ham_mixed(MixedRadiusQuery(b, d))
     )
-    ham = radius_consensus_ham_mixed(q)
-    if not ham.feasible:
-        return ConsensusAnswer.none(f"no common match within swap radius {d}", ham.stats), None
-    h_star, decoded = _decode(dz, encoded, ham.solution)
-    dists = _certify_budget_additivity(inst, dz, encoded, h_star, decoded)
-    if max(dists) > d:
-        raise CertificationFailure(
-            f"decoded witness exceeds the radius: {max(dists)} > {d}"
-        )
-    answer = ConsensusAnswer.found(decoded, dists, ham.stats)
-    return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)
 
 
 def rs_consensus_swap(
     inst: Instance, d: int, D: int
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Radius d and sum D simultaneously; minimum-sum witness when feasible."""
-    dz = disentangle(inst)
-    if isinstance(dz, Infeasible):
-        return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
-    if any(x > d for x in dz.budgets):
-        worst = max(range(inst.k), key=lambda j: dz.budgets[j])
-        return (
-            ConsensusAnswer.none(
-                f"word {worst + 1} needs {dz.budgets[worst]} necessary swaps > d={d}"
-            ),
-            None,
-        )
-    if dz.total > D:
-        return (
-            ConsensusAnswer.none(
-                f"necessary swaps alone sum to {dz.total} > D={D}"
-            ),
-            None,
-        )
-    encoded = _encode(dz)
-    if inst.n == 1:
-        witness = dz.strings_prime[0]
-        dists = tuple(swap_distance(w, witness) for w in inst.words)
-        return ConsensusAnswer.found(witness, dists), SwapPipelineTrace(
-            dz, encoded, SwapStr("", 1), witness
-        )
-    q = MixedRadiusSumQuery(
-        BudgetedInstance(Instance(tuple(h.bits for h in encoded)), dz.budgets), d, D
+    return _solve(
+        inst, d, D, lambda b: rs_consensus_ham_mixed(MixedRadiusSumQuery(b, d, D))
     )
-    ham = rs_consensus_ham_mixed(q)
-    if not ham.feasible:
-        return (
-            ConsensusAnswer.none(
-                f"no common match within swap radius {d} and sum {D}", ham.stats
-            ),
-            None,
-        )
-    h_star, decoded = _decode(dz, encoded, ham.solution)
-    dists = _certify_budget_additivity(inst, dz, encoded, h_star, decoded)
-    if max(dists) > d or sum(dists) > D:
-        raise CertificationFailure(
-            f"decoded witness violates bounds: max {max(dists)}, sum {sum(dists)}"
-        )
-    answer = ConsensusAnswer.found(decoded, dists, ham.stats)
-    return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)

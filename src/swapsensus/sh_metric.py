@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import LengthMismatch, Word
 
-__all__ = ["SHWitness", "sh_distance", "sh_cost", "greedy_swap_positions"]
+__all__ = ["SHWitness", "sh_distance", "sh_cost"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,3 @@ def sh_distance(s: Word, t: Word) -> tuple[int, SHWitness]:
 def sh_cost(s: Word, t: Word) -> int:
     """Distance only (no witness)."""
     return sh_distance(s, t)[0]
-
-
-def greedy_swap_positions(s: Word, t: Word) -> tuple[int, ...]:
-    """1-based positions where the greedy trace records a swap."""
-    return sh_distance(s, t)[1].swaps

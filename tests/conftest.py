@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from time import perf_counter
 
 from swapsensus import Instance
 
@@ -22,6 +24,17 @@ def random_words(
     sigma = rng.randint(min_sigma, max_sigma)
     letters = "abcdefghijklmnopqrstuvwxyz"[:sigma]
     return tuple("".join(rng.choice(letters) for _ in range(n)) for _ in range(k))
+
+
+def best_of(repeats: int, fn):
+    """Smallest wall time over several runs; returns (best_seconds, result)."""
+    best = math.inf
+    result = None
+    for _ in range(repeats):
+        start = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - start)
+    return best, result
 
 
 def random_instance(rng: random.Random, **kwargs) -> Instance:

@@ -15,7 +15,7 @@ from collections import Counter
 from time import perf_counter
 
 import reference as ref
-from conftest import random_words
+from conftest import best_of, random_words
 from swapsensus import (
     INF,
     Blocked,
@@ -101,17 +101,6 @@ RECORDED_TABLE = {
     (3, (2,), "bacb"),
     (3, (3,), "abac"),
 }
-
-
-def best_of(repeats: int, fn):
-    """Smallest wall time over several runs; returns (best_seconds, result)."""
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        start = perf_counter()
-        result = fn()
-        best = min(best, perf_counter() - start)
-    return best, result
 
 
 def draw_query_params(rng: random.Random, k: int):

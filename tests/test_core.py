@@ -18,7 +18,6 @@ from swapsensus import (
     SearchStats,
     UnequalLengths,
     format_instance,
-    multiset_signature,
     parse_instance,
 )
 
@@ -153,9 +152,3 @@ class TestConsensusAnswer:
 class TestMisc:
     def test_inf_constant(self):
         assert math.isinf(INF) and INF > 0
-
-    def test_multiset_signature(self):
-        assert multiset_signature("abab") == multiset_signature("baba")
-        assert multiset_signature("abab") == multiset_signature("abba")
-        assert multiset_signature("abc") != multiset_signature("abd")
-        assert multiset_signature("aab") != multiset_signature("abb")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 
 import reference as ref
-from conftest import random_words
+from conftest import best_of, random_words
 from swapsensus import (
     Disentanglement,
     Infeasible,
@@ -31,8 +33,11 @@ def common_matches(words) -> set[str]:
 
 def random_matching_family(rng: random.Random, max_n: int = 8, max_k: int = 4):
     """Words built from one center by independent proper swap sets."""
-    n = rng.randint(1, max_n)
-    k = rng.randint(1, max_k)
+    return matching_family(rng, rng.randint(1, max_n), rng.randint(1, max_k))
+
+
+def matching_family(rng: random.Random, n: int, k: int):
+    """k words of length n built from one random center by proper swap sets."""
     center = "".join(rng.choice("abc") for _ in range(n))
     out = []
     for _ in range(k):
@@ -209,3 +214,20 @@ class TestAgainstEnumeration:
             assert dz2.strings_prime == tuple(dz.strings_prime[i] for i in order)
             assert dz2.total == dz.total
             checked += 1
+
+
+def test_certification_is_linear_in_k():
+    # One centre at n=200; the safety net must not compare every pair of
+    # words, so time grows about linearly in k (a pairwise check gives ~2).
+    sizes = (50, 100, 200, 400)
+    family = matching_family(random.Random(405), 200, max(sizes))
+    times = []
+    for k in sizes:
+        inst = Instance(family[:k])
+        elapsed, dz = best_of(3, lambda: disentangle(inst))
+        assert isinstance(dz, Disentanglement)
+        times.append(max(elapsed, 1e-6))
+    fit = statistics.linear_regression(
+        [math.log(k) for k in sizes], [math.log(t) for t in times]
+    )
+    assert fit.slope <= 1.5, f"log-log slope {fit.slope:.2f} exceeds 1.5 ({times})"

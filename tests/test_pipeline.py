@@ -98,8 +98,15 @@ class TestSumConsensus:
         assert "column 3" in ans.reason
 
     def test_single_column_words(self):
-        ans, _ = sum_consensus_swap(Instance(("a", "a")))
-        assert ans.feasible and ans.solution == "a" and ans.sum_distance == 0
+        inst = Instance(("a", "a"))
+        for ans, trace in (
+            sum_consensus_swap(inst),
+            radius_consensus_swap(inst, 0),
+            rs_consensus_swap(inst, 0, 0),
+        ):
+            assert ans.feasible and ans.solution == "a" and ans.sum_distance == 0
+            assert trace.h_star.bits == ""
+            check_trace(inst, ans, trace)
 
     def test_decision_bound(self):
         ok, _ = sum_consensus_swap(Instance(("ab", "ba")), D=1)
@@ -230,3 +237,22 @@ class TestRadiusSumConsensus:
                 assert ans.max_distance <= d
                 check_trace(inst, ans, trace)
         assert feasible_seen > 40 and infeasible_seen > 40
+
+
+def test_elapsed_covers_early_exits():
+    # stats.elapsed times the whole call, so answers that stop right after
+    # disentanglement or its budget precheck still report their time.
+    no_match = Instance(("ababc", "abbca", "abacb"))
+    for ans, _ in (
+        sum_consensus_swap(no_match),
+        radius_consensus_swap(no_match, 3),
+        rs_consensus_swap(no_match, 3, 9),
+    ):
+        assert ans.reason.startswith("no common matching word:")
+        assert ans.stats.elapsed > 0
+    for ans, _ in (
+        radius_consensus_swap(Instance(TANGLED_SHORT), 1),
+        rs_consensus_swap(Instance(TANGLED_SHORT), 1, 3),
+    ):
+        assert ans.reason == "word 2 needs 2 necessary swaps > d=1"
+        assert ans.stats.elapsed > 0

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +24,6 @@ from swapsensus import (
     PrerequisiteNotMatching,
     SwapStr,
     apply_swaps,
-    multiset_signature,
     swap_distance,
     swap_string,
     three_way_match,
@@ -106,9 +107,9 @@ class TestSwapString:
         g = swap_string(s, t)
         for p in range(1, len(s)):  # 1-based swap position p covers pair (p, p+1)
             if g.bits[p - 1] == "0":
-                assert multiset_signature(s[:p]) == multiset_signature(t[:p])
+                assert Counter(s[:p]) == Counter(t[:p])
             else:
-                assert multiset_signature(s[:p]) != multiset_signature(t[:p])
+                assert Counter(s[:p]) != Counter(t[:p])
 
 
 class TestApplySwaps:
@@ -147,6 +148,30 @@ class TestXorCompose:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             xor_compose("10", "100")
+
+    def test_union_adjacency_is_pairwise_collision(self):
+        # The lemma behind disentangle's O(kn) certification: for valid swap
+        # strings, some pairwise XOR holds "11" exactly when the union of
+        # their ones holds two adjacent positions.
+        rng = random.Random(104)
+        outcomes = Counter()
+        for _ in range(2000):
+            n = rng.randint(1, 10)
+            family = []
+            for _ in range(rng.randint(1, 5)):
+                bits = ""
+                for _ in range(n - 1):
+                    free = not bits.endswith("1")
+                    bits += "1" if free and rng.random() < 0.3 else "0"
+                family.append(SwapStr(bits, n))
+            ones = {p for h in family for p in h.ones()}
+            adjacent = any(p + 1 in ones for p in ones)
+            collides = any(
+                "11" in xor_compose(a, b) for a, b in combinations(family, 2)
+            )
+            assert adjacent == collides, [h.bits for h in family]
+            outcomes[adjacent] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 class TestSwapDistanceAgainstEnumeration:
