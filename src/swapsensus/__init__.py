@@ -59,6 +59,7 @@ from .pipeline import (
 from .sh_metric import SHWitness, sh_cost, sh_distance
 from .sh_radius import BranchMove, radius_consensus_sh
 from .sh_sum import DPState, sum_consensus_sh, swap_set
+from .solve import solve
 from .swaps import (
     Blocked,
     Matching,
@@ -123,6 +124,7 @@ __all__ = [
     "DPState",
     "sum_consensus_sh",
     "swap_set",
+    "solve",
     "SwapStr",
     "Matching",
     "Blocked",

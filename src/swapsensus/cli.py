@@ -1,5 +1,8 @@
 """Command-line surface for all solvers, the oracle, and the generator.
 
+``consensus`` validates flags, loads its files and asks ``solve``, whose
+table picks the solver; budgets beyond the bounds come back as answers.
+
 Exit codes separate answers from errors: 0 means solved or feasible, 1 means
 a certified "no" (infeasible is a legitimate answer), 2 means a usage or
 input error. JSON output has a stable schema; every distance in it is
@@ -27,15 +30,7 @@ from .core import (
     parse_instance,
 )
 from .disentangle import Infeasible, disentangle
-from .hamming import (
-    BudgetedInstance,
-    MixedRadiusQuery,
-    MixedRadiusSumQuery,
-    hamming_distance,
-    radius_consensus_ham_mixed,
-    rs_consensus_ham_mixed,
-    sum_consensus_ham,
-)
+from .hamming import hamming_distance
 from .oracle import (
     DEFAULT_CAP,
     OracleQuery,
@@ -45,15 +40,10 @@ from .oracle import (
     brute_force,
     gen_planted,
 )
-from .pipeline import (
-    SwapPipelineTrace,
-    radius_consensus_swap,
-    rs_consensus_swap,
-    sum_consensus_swap,
-)
+from .pipeline import SwapPipelineTrace
 from .sh_metric import sh_distance
-from .sh_radius import radius_consensus_sh
-from .sh_sum import DPState, sum_consensus_sh
+from .sh_sum import DPState
+from .solve import _SOLVERS, solve
 from .swaps import swap_string
 
 EXIT_FEASIBLE = 0
@@ -74,6 +64,8 @@ def _load_instance(path: str) -> Instance:
         text = Path(path).read_text()
     except OSError as exc:
         _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: {exc}")
     try:
         return parse_instance(text)
     except SwapsensusError as exc:
@@ -92,6 +84,26 @@ def _load_budgets(path: str, k: int) -> tuple[int, ...]:
     if any(b < 0 for b in budgets):
         _fail(f"budgets file {path} contains a negative value")
     return budgets
+
+
+def _check_bounds(
+    objective: str, d: int | None, big_d: int | None, sum_takes_big_d: bool
+) -> None:
+    """Validate -d/-D against the objective; only sum's use of -D differs."""
+    if objective in ("radius", "radius-sum") and d is None:
+        _fail(f"--objective {objective} requires -d")
+    if objective == "radius-sum" and big_d is None:
+        _fail("--objective radius-sum requires -D")
+    if big_d is not None and objective != "radius-sum" and not sum_takes_big_d:
+        _fail("-D is only valid with --objective radius-sum")
+    if big_d is not None and objective == "radius":
+        _fail("-D is not valid with --objective radius")
+    if objective == "sum" and d is not None:
+        _fail("-d is not valid with --objective sum")
+    if d is not None and d < 0:
+        _fail("-d must be non-negative")
+    if big_d is not None and big_d < 0:
+        _fail("-D must be non-negative")
 
 
 def _num(v: float | int | None) -> int | float | str | None:
@@ -237,7 +249,6 @@ def distance(metric: str, output: str, word1: str, word2: str) -> None:
 )
 @click.option("--trace", is_flag=True, help="include the swap pipeline trace")
 @click.option("--dump-table", is_flag=True, help="include the sum DP table")
-@click.option("--all-roots", is_flag=True, help="retry the radius search from every word")
 @click.option("--output", type=click.Choice(["human", "json"]), default="human")
 @click.argument("input_path", type=click.Path())
 def consensus(
@@ -248,122 +259,29 @@ def consensus(
     budgets_path: str | None,
     trace: bool,
     dump_table: bool,
-    all_roots: bool,
     output: str,
     input_path: str,
 ) -> None:
     """Solve a consensus problem on the words in INPUT_PATH."""
-    if metric == "swap-hamming" and objective == "radius-sum":
+    if (metric, objective) not in _SOLVERS:
         _fail("unsupported: open problem")
-    if objective in ("radius", "radius-sum") and d is None:
-        _fail(f"--objective {objective} requires -d")
-    if objective == "radius-sum" and big_d is None:
-        _fail("--objective radius-sum requires -D")
-    if objective == "sum" and d is not None:
-        _fail("-d is not valid with --objective sum")
-    if objective == "radius" and big_d is not None:
-        _fail("-D is not valid with --objective radius")
-    if d is not None and d < 0:
-        _fail("-d must be non-negative")
-    if big_d is not None and big_d < 0:
-        _fail("-D must be non-negative")
+    _check_bounds(objective, d, big_d, sum_takes_big_d=True)
     if budgets_path is not None and metric != "hamming":
         _fail("--budgets is only supported with --distance hamming")
     if trace and metric != "swap":
         _fail("--trace is only supported with --distance swap")
     if dump_table and not (metric == "swap-hamming" and objective == "sum"):
         _fail("--dump-table is only supported with --distance swap-hamming --objective sum")
-    if all_roots and not (metric == "swap-hamming" and objective == "radius"):
-        _fail("--all-roots is only supported with --distance swap-hamming --objective radius")
 
     inst = _load_instance(input_path)
-
-    if metric == "swap":
-        if objective == "radius":
-            assert d is not None
-            answer, pipe = radius_consensus_swap(inst, d)
-        elif objective == "sum":
-            answer, pipe = sum_consensus_swap(inst, D=big_d)
-        else:
-            assert d is not None and big_d is not None
-            answer, pipe = rs_consensus_swap(inst, d, big_d)
-        extra = {"trace": _trace_payload(pipe)} if trace and pipe is not None else None
-        _finish(answer, output, extra)
-
-    if metric == "swap-hamming":
-        if objective == "radius":
-            assert d is not None
-            answer = radius_consensus_sh(inst, d, all_roots=all_roots)
-            _finish(answer, output)
-        answer, table = sum_consensus_sh(inst, D=big_d)
-        extra = {"table": _table_payload(table)} if dump_table else None
-        _finish(answer, output, extra)
-
-    # Hamming, with optional per-word budgets.
-    budgets = (
-        _load_budgets(budgets_path, inst.k)
-        if budgets_path is not None
-        else (0,) * inst.k
-    )
-    if objective == "radius":
-        assert d is not None
-        over = [j for j, x in enumerate(budgets) if x > d]
-        if over:
-            _finish(
-                ConsensusAnswer.none(
-                    f"word {over[0] + 1} has consumed budget "
-                    f"{budgets[over[0]]} > d={d}"
-                ),
-                output,
-            )
-        answer = radius_consensus_ham_mixed(
-            MixedRadiusQuery(BudgetedInstance(inst, budgets), d)
-        )
-        _finish(_with_budget_offsets(answer, inst, budgets), output)
-    if objective == "sum":
-        answer = _with_budget_offsets(sum_consensus_ham(inst), inst, budgets)
-        if big_d is not None and answer.sum_distance is not None and answer.sum_distance > big_d:
-            _finish(
-                ConsensusAnswer.none(
-                    f"minimum distance sum is {_num(answer.sum_distance)} > {big_d}",
-                    answer.stats,
-                ),
-                output,
-            )
-        _finish(answer, output)
-    assert d is not None and big_d is not None
-    over = [j for j, x in enumerate(budgets) if x > d]
-    if over:
-        _finish(
-            ConsensusAnswer.none(
-                f"word {over[0] + 1} has consumed budget {budgets[over[0]]} > d={d}"
-            ),
-            output,
-        )
-    if sum(budgets) > big_d:
-        _finish(
-            ConsensusAnswer.none(
-                f"consumed budgets alone sum to {sum(budgets)} > D={big_d}"
-            ),
-            output,
-        )
-    answer = rs_consensus_ham_mixed(
-        MixedRadiusSumQuery(BudgetedInstance(inst, budgets), d, big_d)
-    )
-    _finish(_with_budget_offsets(answer, inst, budgets), output)
-
-
-def _with_budget_offsets(
-    answer: ConsensusAnswer, inst: Instance, budgets: tuple[int, ...]
-) -> ConsensusAnswer:
-    """Report budget + Hamming distance per word, recomputed from the witness."""
-    if not answer.feasible or answer.solution is None or not any(budgets):
-        return answer
-    dists = tuple(
-        float(x + hamming_distance(w, answer.solution))
-        for w, x in zip(inst.words, budgets)
-    )
-    return ConsensusAnswer.found(answer.solution, dists, answer.stats)
+    budgets = _load_budgets(budgets_path, inst.k) if budgets_path is not None else None
+    answer, detail = solve(metric, objective, inst, d, big_d, budgets)
+    extra = None
+    if trace and detail is not None:
+        extra = {"trace": _trace_payload(detail)}
+    elif dump_table:
+        extra = {"table": _table_payload(detail)}
+    _finish(answer, output, extra)
 
 
 @main.command("disentangle")
@@ -424,18 +342,7 @@ def oracle(
     input_path: str,
 ) -> None:
     """Brute-force ground truth over the instance alphabet (small inputs)."""
-    if objective in ("radius", "radius-sum") and d is None:
-        _fail(f"--objective {objective} requires -d")
-    if objective == "radius-sum" and big_d is None:
-        _fail("--objective radius-sum requires -D")
-    if objective != "radius-sum" and big_d is not None:
-        _fail("-D is only valid with --objective radius-sum")
-    if objective == "sum" and d is not None:
-        _fail("-d is not valid with --objective sum")
-    if d is not None and d < 0:
-        _fail("-d must be non-negative")
-    if big_d is not None and big_d < 0:
-        _fail("-D must be non-negative")
+    _check_bounds(objective, d, big_d, sum_takes_big_d=False)
     cap_text = os.environ.get("SWAPSENSUS_ORACLE_CAP")
     if cap_text is None:
         cap = DEFAULT_CAP
@@ -448,14 +355,10 @@ def oracle(
     budgets = (
         _load_budgets(budgets_path, inst.k) if budgets_path is not None else None
     )
-    if objective == "radius":
-        assert d is not None
-        obj: Radius | Sum | RadiusSum = Radius(d)
-    elif objective == "sum":
-        obj = Sum()
+    if objective == "sum":
+        obj: Radius | Sum | RadiusSum = Sum()
     else:
-        assert d is not None and big_d is not None
-        obj = RadiusSum(d, big_d)
+        obj = Radius(d) if objective == "radius" else RadiusSum(d, big_d)
     try:
         query = OracleQuery(inst, metric, obj, budgets=budgets, cap=cap)
     except SwapsensusError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "SwapsensusError",
@@ -232,6 +233,17 @@ class ConsensusAnswer:
         )
 
 
+def decide_sum(
+    answer: ConsensusAnswer, D: int | None, what: str = "distance sum"
+) -> ConsensusAnswer:
+    """Turn a minimum-sum answer into the answer to "is the sum within D?"."""
+    if D is None or not answer.feasible or answer.sum_distance <= D:
+        return answer
+    return ConsensusAnswer.none(
+        f"minimum {what} is {int(answer.sum_distance)} > {D}", answer.stats
+    )
+
+
 class Timer:
     """Tiny context manager writing wall time into a SearchStats."""
 
@@ -244,6 +256,31 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.stats.elapsed = time.perf_counter() - self._t0
+
+
+Node = TypeVar("Node")
+
+
+def depth_first(
+    root: Node, expand: Callable[[Node, int], Iterable[Node] | None]
+) -> Node | None:
+    """Preorder depth-first search on an explicit stack, so any depth works.
+
+    ``expand(node, depth)`` returns None if ``node`` is the answer, or else an
+    iterable of its children, drawn lazily one at a time (a node is never
+    None). Returns the answer, or None once the tree is exhausted.
+    """
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        children = expand(node, len(stack) - 1)
+        if children is None:
+            return node
+        stack.append(iter(children))
+    return None
 
 
 def parse_instance(text: str) -> Instance:

@@ -11,6 +11,7 @@ appending per-string binary pads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import (
     BudgetedInstance,
@@ -21,6 +22,7 @@ from .core import (
     SearchStats,
     Timer,
     Word,
+    depth_first,
 )
 
 __all__ = [
@@ -39,7 +41,7 @@ PAD_SYMBOLS = ("0", "1")
 
 @dataclass(frozen=True)
 class MixedRadiusQuery:
-    """Radius consensus where word s_i must end up within d - x_i."""
+    """Radius consensus where word s_i must end up within d - x_i (none if x_i > d)."""
 
     budgeted: BudgetedInstance
     d: int
@@ -47,8 +49,6 @@ class MixedRadiusQuery:
     def __post_init__(self) -> None:
         if self.d < 0:
             raise ValueError("radius bound must be non-negative")
-        if any(x > self.d for x in self.budgeted.budgets):
-            raise ValueError("a budget exceeds the radius bound")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class MixedRadiusSumQuery:
     """Radius+sum consensus with per-string budgets x_i.
 
     Constraints on a witness t: hamming(s_i, t) <= d - x_i for every i, and
-    sum_i hamming(s_i, t) <= D - sum_i x_i.
+    sum_i hamming(s_i, t) <= D - sum_i x_i. Budgets beyond d or D leave none.
     """
 
     budgeted: BudgetedInstance
@@ -66,10 +66,16 @@ class MixedRadiusSumQuery:
     def __post_init__(self) -> None:
         if self.d < 0 or self.D < 0:
             raise ValueError("bounds must be non-negative")
-        if any(x > self.d for x in self.budgeted.budgets):
-            raise ValueError("a budget exceeds the radius bound")
-        if sum(self.budgeted.budgets) > self.D:
-            raise ValueError("budgets already exceed the sum bound")
+
+
+def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str | None:
+    """Why the consumed budgets alone already break the bounds, or None."""
+    for i, x in enumerate(budgets):
+        if x > d:
+            return f"word {i + 1} has consumed budget {x} > d={d}"
+    if D is not None and sum(budgets) > D:
+        return f"consumed budgets alone sum to {sum(budgets)} > D={D}"
+    return None
 
 
 def hamming_distance(s: Word, t: Word) -> int:
@@ -103,19 +109,23 @@ def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
 def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     """Bounded search tree for budgeted radius consensus.
 
-    The candidate starts at the first input word. At each node, the first word
+    A budget above d is answered "infeasible" before any search. Otherwise
+    the candidate starts at the first input word. At each node, the first word
     whose slack is violated drives the branching: copy its symbol at each of
     the first slack+1 mismatch positions. Depth is capped at d; a node is
     pruned when some word's distance provably cannot reach its slack within
     the remaining depth. The witness is the first found under this canonical
     order (violated word by index, positions left to right).
     """
+    over = _budgets_over(q.budgeted.budgets, q.d)
+    if over is not None:
+        return ConsensusAnswer.none(over)
     inst = q.budgeted.instance
     words = inst.words
     slacks = [q.d - x for x in q.budgeted.budgets]
     stats = SearchStats()
 
-    def search(cand: str, depth: int) -> str | None:
+    def expand(cand: str, depth: int) -> Iterable[str] | None:
         stats.nodes_expanded += 1
         dists = [hamming_distance(cand, w) for w in words]
         remaining = q.d - depth
@@ -123,24 +133,20 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
         for i, (dist, slack) in enumerate(zip(dists, slacks)):
             if dist > slack:
                 if dist - slack > remaining:
-                    return None  # unreachable even if every move helps word i
+                    return ()  # unreachable even if every move helps word i
                 if violated < 0:
                     violated = i
         if violated < 0:
-            return cand
+            return None  # cand is a witness
         if remaining == 0:
-            return None
+            return ()
         w = words[violated]
         branch_positions = [p for p in range(inst.n) if cand[p] != w[p]]
-        for p in branch_positions[: slacks[violated] + 1]:
-            child = cand[:p] + w[p] + cand[p + 1 :]
-            hit = search(child, depth + 1)
-            if hit is not None:
-                return hit
-        return None
+        branch_positions = branch_positions[: slacks[violated] + 1]
+        return (cand[:p] + w[p] + cand[p + 1 :] for p in branch_positions)
 
     with Timer(stats):
-        witness = search(words[0], 0)
+        witness = depth_first(words[0], expand)
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within slack of every input at radius {q.d}", stats
@@ -152,10 +158,12 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
 def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     """Complete normalized search for budgeted radius+sum consensus.
 
-    Any solution may be normalized column-wise to symbols occurring in that
-    column (replacing a foreign symbol by the column majority never increases
-    any distance), so the search runs over column-restricted words only,
-    depth-first in lex order with admissible pruning:
+    Budgets alone above d (for a word) or D (in total) are answered
+    "infeasible" before any search. Otherwise, any solution may be normalized
+    column-wise to symbols occurring in that column (replacing a foreign
+    symbol by the column majority never increases any distance), so the
+    search runs over column-restricted words only, depth-first in lex order
+    with admissible pruning:
 
     * per-string: mismatches so far must not exceed the string's slack;
     * sum: mismatches so far plus the per-column minimum achievable on the
@@ -165,6 +173,9 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
 
     Returns the minimum-sum witness, lex-min among optima.
     """
+    over = _budgets_over(q.budgeted.budgets, q.d, q.D)
+    if over is not None:
+        return ConsensusAnswer.none(over)
     inst = q.budgeted.instance
     words = inst.words
     k, n = inst.k, inst.n
@@ -180,9 +191,13 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         suffix_min[p] = suffix_min[p + 1] + col_min
 
     best: tuple[int, str] | None = None
+    prefix = [""] * (n + 1)  # prefix[1..p] spells the node at depth p
 
-    def search(prefix: list[str], mism: list[int], total: int, p: int) -> None:
+    def expand(node: tuple[str, list[int], int], p: int) -> Iterator[tuple]:
+        # node: its symbol at column p - 1, mismatches per word, total. A
+        # generator: the walk runs this body when it first draws a child.
         nonlocal best
+        prefix[p], mism, total = node
         stats.nodes_expanded += 1
         bound = sum_budget if best is None else min(sum_budget, best[0] - 1)
         if total + suffix_min[p] > bound:
@@ -192,23 +207,18 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
             return
         for b in columns[p]:
             new_mism = mism.copy()
-            ok = True
             add = 0
             for i, w in enumerate(words):
                 if w[p] != b:
                     new_mism[i] += 1
                     add += 1
                     if new_mism[i] > slacks[i]:
-                        ok = False
                         break
-            if not ok:
-                continue
-            prefix.append(b)
-            search(prefix, new_mism, total + add, p + 1)
-            prefix.pop()
+            else:
+                yield b, new_mism, total + add
 
     with Timer(stats):
-        search([], [0] * k, 0, 0)
+        depth_first(("", [0] * k, 0), expand)
     if best is None:
         return ConsensusAnswer.none(
             f"no word meets radius {q.d} slacks with sum within {sum_budget}", stats

@@ -16,11 +16,11 @@ import string
 from dataclasses import dataclass
 
 from .core import (
+    BudgetedInstance,
     CapExceeded,
     ConsensusAnswer,
     INF,
     Instance,
-    LengthMismatch,
     ReservedSymbolPresent,
     SearchStats,
     Timer,
@@ -94,12 +94,7 @@ class OracleQuery:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.budgets is not None:
-            if len(self.budgets) != self.instance.k:
-                raise LengthMismatch(
-                    f"{len(self.budgets)} budgets for {self.instance.k} words"
-                )
-            if any(x < 0 for x in self.budgets):
-                raise ValueError("budgets must be non-negative")
+            BudgetedInstance(self.instance, self.budgets)  # validates the budgets
         space = len(self.instance.alphabet) ** self.instance.n
         if space > self.cap:
             raise CapExceeded(

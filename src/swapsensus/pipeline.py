@@ -30,6 +30,7 @@ from .core import (
     Instance,
     SearchStats,
     Word,
+    decide_sum,
 )
 from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import (
@@ -151,15 +152,7 @@ def sum_consensus_swap(
     0), which is exactly the Hamming sum-consensus of the bit rows.
     """
     answer, trace = _solve(inst, None, None, lambda b: sum_consensus_ham(b.instance))
-    if answer.feasible and D is not None and answer.sum_distance > D:
-        return (
-            ConsensusAnswer.none(
-                f"minimum sum of swap distances is {int(answer.sum_distance)} > {D}",
-                answer.stats,
-            ),
-            trace,
-        )
-    return answer, trace
+    return decide_sum(answer, D, "sum of swap distances"), trace
 
 
 def radius_consensus_swap(

@@ -12,6 +12,7 @@ can rescue it. Any returned witness is re-certified from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     CertificationFailure,
@@ -20,6 +21,7 @@ from .core import (
     SearchStats,
     Timer,
     Word,
+    depth_first,
 )
 from .hamming import hamming_distance
 from .sh_metric import sh_cost
@@ -71,53 +73,37 @@ def _moves(cand: Word, w: Word, idx: int, d: int) -> list[BranchMove]:
     return moves
 
 
-def _search(
-    inst: Instance, cand: Word, d: int, depth: int, stats: SearchStats
-) -> Word | None:
-    assert depth <= 2 * d
-    stats.nodes_expanded += 1
-    for w in inst.words:
-        if hamming_distance(cand, w) >= 4 * d - depth + 1:
-            return None
-    violating = None
-    for idx, w in enumerate(inst.words):
-        if sh_cost(cand, w) > d:
-            violating = idx
-            break
-    if violating is None:
-        return cand
-    if depth == 2 * d:
-        return None
-    for move in _moves(cand, inst.words[violating], violating + 1, d):
-        child = _apply(cand, move)
-        if child == cand:
-            continue
-        found = _search(inst, child, d, depth + 1, stats)
-        if found is not None:
-            return found
-    return None
-
-
-def radius_consensus_sh(
-    inst: Instance, d: int, all_roots: bool = False
-) -> ConsensusAnswer:
+def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     """Find a word within swap+substitution distance d of every input.
 
-    The search is rooted at the first input word; ``all_roots`` retries from
-    every input in order (useful for robustness experiments, never needed for
-    correctness). The first witness found in the fixed branch order is
-    returned, with all distances recomputed from scratch.
+    The search is rooted at the first input word and is complete, so a
+    failed search proves infeasibility. The first witness found in the
+    fixed branch order is returned, with all distances recomputed from
+    scratch.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     stats = SearchStats()
-    witness: Word | None = None
-    with Timer(stats):
-        roots = inst.words if all_roots else inst.words[:1]
-        for root in roots:
-            witness = _search(inst, root, d, 0, stats)
-            if witness is not None:
+
+    def expand(cand: Word, depth: int) -> Iterable[Word] | None:
+        stats.nodes_expanded += 1
+        for w in inst.words:
+            if hamming_distance(cand, w) >= 4 * d - depth + 1:
+                return ()
+        violating = None
+        for idx, w in enumerate(inst.words):
+            if sh_cost(cand, w) > d:
+                violating = idx
                 break
+        if violating is None:
+            return None  # cand is a witness
+        if depth == 2 * d:
+            return ()
+        moves = _moves(cand, inst.words[violating], violating + 1, d)
+        return (child for child in (_apply(cand, m) for m in moves) if child != cand)
+
+    with Timer(stats):
+        witness = depth_first(inst.words[0], expand)
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within swap+substitution radius {d} of all inputs", stats

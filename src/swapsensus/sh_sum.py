@@ -30,6 +30,7 @@ from .core import (
     SearchStats,
     Timer,
     Word,
+    decide_sum,
 )
 from .hamming import sum_consensus_ham
 from .sh_metric import sh_cost, sh_distance
@@ -218,12 +219,4 @@ def sum_consensus_sh(
                     f"table cost {best_cost} != recomputed sum {recomputed}"
                 )
     dists = tuple(float(sh_cost(w, witness)) for w in inst.words)
-    answer = ConsensusAnswer.found(witness, dists, stats)
-    if D is not None and answer.sum_distance is not None and answer.sum_distance > D:
-        return (
-            ConsensusAnswer.none(
-                f"minimum distance sum is {int(answer.sum_distance)} > {D}", stats
-            ),
-            table,
-        )
-    return answer, table
+    return decide_sum(ConsensusAnswer.found(witness, dists, stats), D), table

@@ -195,7 +195,6 @@ class TestConsensusCommand:
                 "radius",
                 "-d",
                 "2",
-                "--all-roots",
                 path,
             ],
         )
@@ -312,10 +311,6 @@ class TestConsensusCommand:
                 ["--distance", "swap", "--objective", "sum", "--dump-table"],
                 "--dump-table is only supported",
             ),
-            (
-                ["--distance", "swap", "--objective", "radius", "-d", "1", "--all-roots"],
-                "--all-roots is only supported",
-            ),
         ],
     )
     def test_flag_validation(self, runner, tmp_path, args, fragment):
@@ -406,6 +401,60 @@ class TestConsensusCommand:
         )
         assert result.exit_code == 2
         assert "line 2" in result.stderr
+
+
+class TestLongInputs:
+    """Searches deeper than Python's default recursion limit end in an answer."""
+
+    @pytest.mark.parametrize(
+        "distance,sum_distance", [("hamming", 1400), ("swap", 700)]
+    )
+    def test_radius_sum_over_1400_columns(self, runner, tmp_path, distance, sum_distance):
+        path = write_lines(tmp_path, "inst.txt", ("ab" * 700, "ba" * 700))
+        result, payload = invoke_json(
+            runner,
+            [
+                "consensus",
+                "--distance",
+                distance,
+                "--objective",
+                "radius-sum",
+                "-d",
+                "700",
+                "-D",
+                "1400",
+                path,
+            ],
+        )
+        assert result.exit_code == 0
+        assert payload["max_distance"] == 700
+        assert payload["sum_distance"] == sum_distance
+
+    def test_hamming_radius_at_depth_1200(self, runner, tmp_path):
+        path = write_lines(tmp_path, "inst.txt", ("a" * 2400, "b" * 2400))
+        result, payload = invoke_json(
+            runner,
+            ["consensus", "--distance", "hamming", "--objective", "radius", "-d", "1200", path],
+        )
+        assert result.exit_code == 0
+        assert payload["per_string_distances"] == [1200, 1200]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["consensus", "--distance", "swap", "--objective", "sum"],
+        ["oracle", "--metric", "hamming", "--objective", "sum"],
+        ["disentangle"],
+    ],
+)
+def test_non_utf8_instance_is_a_usage_error(runner, tmp_path, args):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"\xff\xfeab\nba\n")
+    result = runner.invoke(main, [*args, str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {path}: ")
+    assert "can't decode byte 0xff" in result.stderr
 
 
 class TestDisentangleCommand:

@@ -118,14 +118,26 @@ class TestRadiusQueriesValidation:
             zero_radius_query(("ab",), -1)
 
     def test_budget_above_radius_rejected(self):
+        # A budget above d is an answer ("infeasible"), given before any
+        # search, not an invalid query.
         inst = Instance(("ab", "ba"))
-        with pytest.raises(ValueError):
-            MixedRadiusQuery(BudgetedInstance(inst, (2, 0)), 1)
+        ans = radius_consensus_ham_mixed(MixedRadiusQuery(BudgetedInstance(inst, (0, 2)), 1))
+        assert not ans.feasible
+        assert ans.reason == "word 2 has consumed budget 2 > d=1"
+        assert ans.stats.nodes_expanded == 0
+        rs = rs_consensus_ham_mixed(MixedRadiusSumQuery(BudgetedInstance(inst, (3, 2)), 1, 9))
+        assert not rs.feasible
+        assert rs.reason == "word 1 has consumed budget 3 > d=1"
 
     def test_rs_budget_sum_above_total_rejected(self):
         inst = Instance(("ab", "ba"))
-        with pytest.raises(ValueError):
-            MixedRadiusSumQuery(BudgetedInstance(inst, (1, 1)), 1, 1)
+        ans = rs_consensus_ham_mixed(MixedRadiusSumQuery(BudgetedInstance(inst, (1, 1)), 1, 1))
+        assert not ans.feasible
+        assert ans.reason == "consumed budgets alone sum to 2 > D=1"
+        assert ans.stats.nodes_expanded == 0
+        # The per-word check comes first when both bounds are broken.
+        both = rs_consensus_ham_mixed(MixedRadiusSumQuery(BudgetedInstance(inst, (2, 2)), 1, 1))
+        assert both.reason == "word 1 has consumed budget 2 > d=1"
 
     def test_rs_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -318,3 +330,25 @@ class TestPadMixed:
             )
             assert mixed.feasible == plain.feasible, (inst.words, budgets, d, big_d)
             trials += 1
+
+
+class TestDeepSearches:
+    """Search depths far beyond Python's default recursion limit of 1000."""
+
+    def test_radius_search_depth_1200(self):
+        inst = Instance(("a" * 2400, "b" * 2400))
+        ans = radius_consensus_ham_mixed(zero_radius_query(inst.words, 1200))
+        assert ans.feasible
+        assert ans.solution == "b" * 1200 + "a" * 1200
+        assert ans.per_string_distances == (1200, 1200)
+        assert ans.stats.nodes_expanded == 1201
+
+    def test_radius_sum_search_over_1400_columns(self):
+        words = ("ab" * 700, "ba" * 700)
+        ans = rs_consensus_ham_mixed(zero_rs_query(words, 700, 1400))
+        assert ans.feasible
+        assert ans.solution == "a" * 1400
+        assert ans.per_string_distances == (700, 700)
+        # One path down to the first leaf, then every "b" sibling on the way
+        # back is pruned by the sum bound that leaf sets.
+        assert ans.stats.nodes_expanded == 1401 + 1399

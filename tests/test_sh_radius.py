@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -66,17 +67,6 @@ class TestAgainstEnumeration:
                 infeasible_seen += 1
         assert feasible_seen > 80 and infeasible_seen > 40
 
-    def test_all_roots_agrees_on_feasibility(self):
-        rng = random.Random(702)
-        for _ in range(200):
-            inst = Instance(random_words(rng))
-            d = rng.randint(0, 2)
-            first = radius_consensus_sh(inst, d)
-            every = radius_consensus_sh(inst, d, all_roots=True)
-            assert first.feasible == every.feasible, (inst.words, d)
-            if every.feasible:
-                assert every.max_distance <= d
-
     def test_witness_within_search_depth_of_root(self):
         # Every branch step edits at most two adjacent positions, and the
         # depth never exceeds 2d, so a returned witness can disagree with the
@@ -91,3 +81,26 @@ class TestAgainstEnumeration:
             if ans.feasible:
                 mism = sum(1 for a, b in zip(inst.words[0], ans.solution) if a != b)
                 assert mism <= 2 * d
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_stack():
+    # From the root a^600, the witness for {a^600, b^600} at d=300 lies 300
+    # substitutions deep, while the recursion limit leaves ~100 frames free.
+    inst = Instance(("a" * 600, "b" * 600))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        ans = radius_consensus_sh(inst, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ans.feasible
+    assert ans.solution == "b" * 300 + "a" * 300
+    assert ans.per_string_distances == (300, 300)
+    assert ans.stats.nodes_expanded == 301

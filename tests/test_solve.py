@@ -1,0 +1,111 @@
+"""The solve table versus the brute-force oracle, entry by entry."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import random_instance
+from swapsensus import (
+    Instance,
+    OracleQuery,
+    Radius,
+    RadiusSum,
+    Sum,
+    brute_force,
+    hamming_distance,
+    sh_cost,
+    solve,
+    swap_distance,
+)
+
+ENTRIES = [
+    ("hamming", "radius"),
+    ("hamming", "sum"),
+    ("hamming", "radius-sum"),
+    ("swap", "radius"),
+    ("swap", "sum"),
+    ("swap", "radius-sum"),
+    ("swap-hamming", "radius"),
+    ("swap-hamming", "sum"),
+]
+
+DISTANCE = {"hamming": hamming_distance, "swap": swap_distance, "swap-hamming": sh_cost}
+
+
+@pytest.mark.parametrize("metric,objective", ENTRIES)
+def test_entry_agrees_with_brute_force(metric, objective):
+    rng = random.Random(f"solve {metric} {objective}")
+    verdicts = set()
+    for _ in range(400):
+        inst = random_instance(rng)
+        d = rng.randint(0, 3) if objective != "sum" else None
+        if objective == "radius-sum":
+            D: int | None = rng.randint(0, 8)
+        elif objective == "sum":
+            D = rng.choice((None, rng.randint(0, 8)))
+        else:
+            D = None
+        budgets = (
+            tuple(rng.randint(0, 2) for _ in range(inst.k)) if metric == "hamming" else None
+        )
+        answer, _ = solve(metric, objective, inst, d, D, budgets)
+
+        obj = {"radius": Radius(d), "sum": Sum(), "radius-sum": RadiusSum(d, D)}[objective]
+        ref = brute_force(OracleQuery(inst, metric, obj, budgets))
+        expect = ref.feasible and (D is None or ref.sum_distance <= D)
+        where = (inst.words, d, D, budgets)
+        assert answer.feasible == expect, where
+        verdicts.add(expect)
+        if not expect:
+            continue
+        offsets = budgets or (0,) * inst.k
+        assert answer.per_string_distances == tuple(
+            x + DISTANCE[metric](w, answer.solution) for w, x in zip(inst.words, offsets)
+        ), where
+        if objective != "sum":
+            assert answer.max_distance <= d, where
+        if objective != "radius":
+            assert answer.sum_distance == ref.sum_distance, where
+    assert verdicts == {True, False}
+
+
+def test_open_problem_and_misuse_raise():
+    inst = Instance(("ab", "ba"))
+    with pytest.raises(ValueError):
+        solve("swap-hamming", "radius-sum", inst, 1, 2)
+    with pytest.raises(ValueError):
+        solve("swap", "radius", inst, 1, budgets=(0, 0))
+    with pytest.raises(ValueError):
+        solve("hamming", "radius", inst)
+    with pytest.raises(ValueError):
+        solve("hamming", "radius-sum", inst, 1)
+    with pytest.raises(ValueError):
+        solve("hamming", "sum", inst, 1)
+    with pytest.raises(ValueError):
+        solve("hamming", "radius", inst, 1, 2)
+
+
+def test_detail_shapes():
+    inst = Instance(("abab", "baba"))
+    _, trace = solve("swap", "radius", inst, 1)
+    assert trace.decoded == "baab"
+    _, early_exit = solve("swap", "radius", Instance(("ab", "cd")), 1)
+    assert early_exit is None
+    _, table = solve("swap-hamming", "sum", inst)
+    assert {"abab", "baba"} & {state.prefix for state in table}
+    assert solve("hamming", "sum", inst, D=4)[1] is None
+
+
+def test_budgets_and_sum_decision():
+    inst = Instance(("aa", "bb"))
+    answer, _ = solve("hamming", "radius", inst, 2, budgets=(1, 0))
+    assert answer.solution == "aa" and answer.per_string_distances == (1, 2)
+    over, _ = solve("hamming", "radius", inst, 1, budgets=(3, 0))
+    assert over.reason == "word 1 has consumed budget 3 > d=1"
+    # The sum decision sees budget + Hamming per word: (1 + 0) + (2 + 2) = 5.
+    no, _ = solve("hamming", "sum", inst, D=4, budgets=(1, 2))
+    assert no.reason == "minimum distance sum is 5 > 4"
+    yes, _ = solve("hamming", "sum", inst, D=5, budgets=(1, 2))
+    assert yes.per_string_distances == (1, 4)
