@@ -115,7 +115,10 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     the first slack+1 mismatch positions. Depth is capped at d; a node is
     pruned when some word's distance provably cannot reach its slack within
     the remaining depth. The witness is the first found under this canonical
-    order (violated word by index, positions left to right).
+    order (violated word by index, positions left to right). The children
+    depend on the candidate alone and the prune only tightens with depth, so
+    a candidate whose subtree was exhausted at depth d0 is not searched again
+    at any depth >= d0; the table lives for this call.
     """
     over = _budgets_over(q.budgeted.budgets, q.d)
     if over is not None:
@@ -146,7 +149,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
         return (cand[:p] + w[p] + cand[p + 1 :] for p in branch_positions)
 
     with Timer(stats):
-        witness = depth_first(words[0], expand)
+        witness = depth_first(words[0], expand, exhausted={})
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within slack of every input at radius {q.d}", stats
@@ -167,8 +170,9 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
 
     * per-string: mismatches so far must not exceed the string's slack;
     * sum: mismatches so far plus the per-column minimum achievable on the
-      remaining suffix must stay within the sum budget and strictly under the
-      best sum found so far (a tie can never beat an earlier, lex-smaller
+      remaining suffix must stay within the sum budget, within the sum of the
+      slacks (every leaf has each word within its slack), and strictly under
+      the best sum found so far (a tie can never beat an earlier, lex-smaller
       witness).
 
     Returns the minimum-sum witness, lex-min among optima.
@@ -190,6 +194,8 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         col_min = min(sum(w[p] != b for w in words) for b in columns[p])
         suffix_min[p] = suffix_min[p + 1] + col_min
 
+    # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.
+    sum_cap = min(sum_budget, sum(slacks))
     best: tuple[int, str] | None = None
     prefix = [""] * (n + 1)  # prefix[1..p] spells the node at depth p
 
@@ -199,7 +205,7 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         nonlocal best
         prefix[p], mism, total = node
         stats.nodes_expanded += 1
-        bound = sum_budget if best is None else min(sum_budget, best[0] - 1)
+        bound = sum_cap if best is None else min(sum_cap, best[0] - 1)
         if total + suffix_min[p] > bound:
             return
         if p == n:

@@ -12,7 +12,7 @@ can rescue it. Any returned witness is re-certified from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     CertificationFailure,
@@ -50,27 +50,29 @@ def _apply(cand: Word, move: BranchMove) -> Word:
     return cand[:p] + move.symbols + cand[p + len(move.symbols) :]
 
 
-def _moves(cand: Word, w: Word, idx: int, d: int) -> list[BranchMove]:
-    """Branch moves for the violating word ``w`` (1-based index ``idx``)."""
+def _moves(cand: Word, w: Word, idx: int, d: int) -> Iterator[BranchMove]:
+    """Branch moves for the violating word ``w`` (1-based index ``idx``).
+
+    Yielded lazily: the depth-first walk usually succeeds or fails on the
+    first few children, and there can be 3 * hamming(cand, w) moves.
+    """
     n = len(cand)
     mism = [p for p in range(n) if cand[p] != w[p]]
     ham = len(mism)
-    moves: list[BranchMove] = []
     if ham >= 2 * d + 1:
         # Any witness agrees with w on all but at most 2d of these, so some
         # of the first 2d+1 disagreements must be resolved by copying.
         for p in mism[: 2 * d + 1]:
-            moves.append(BranchMove("substitute", p + 1, w[p], idx))
-        return moves
+            yield BranchMove("substitute", p + 1, w[p], idx)
+        return
     assert d + 1 <= ham <= 2 * d
     for p in mism:
-        moves.append(BranchMove("substitute", p + 1, w[p], idx))
+        yield BranchMove("substitute", p + 1, w[p], idx)
     for p in mism:
         if p + 1 < n:
-            moves.append(BranchMove("swap-in", p + 1, w[p + 1] + w[p], idx))
+            yield BranchMove("swap-in", p + 1, w[p + 1] + w[p], idx)
         if p - 1 >= 0:
-            moves.append(BranchMove("swap-in", p, w[p] + w[p - 1], idx))
-    return moves
+            yield BranchMove("swap-in", p, w[p] + w[p - 1], idx)
 
 
 def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
@@ -79,7 +81,10 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     The search is rooted at the first input word and is complete, so a
     failed search proves infeasibility. The first witness found in the
     fixed branch order is returned, with all distances recomputed from
-    scratch.
+    scratch. A node's subtree depends only on its candidate and depth (the
+    children on the candidate alone, the prune and the 2d cap only tighten
+    with depth), so a candidate whose subtree was exhausted at depth d0 is
+    not searched again at any depth >= d0; the table lives for this call.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -103,7 +108,7 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
         return (child for child in (_apply(cand, m) for m in moves) if child != cand)
 
     with Timer(stats):
-        witness = depth_first(inst.words[0], expand)
+        witness = depth_first(inst.words[0], expand, exhausted={})
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within swap+substitution radius {d} of all inputs", stats

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import swapsensus
 from swapsensus.cli import main
 
 TANGLED_LONG = (
@@ -430,6 +433,29 @@ class TestLongInputs:
         assert payload["max_distance"] == 700
         assert payload["sum_distance"] == sum_distance
 
+    @pytest.mark.parametrize("distance,d", [("hamming", 699), ("swap", 349)])
+    def test_infeasible_radius_sum_over_1400_columns(self, runner, tmp_path, distance, d):
+        # The two words are 1400 substitutions or 700 swaps apart, so a
+        # radius just under half of that leaves no word within the sum bound.
+        path = write_lines(tmp_path, "inst.txt", ("ab" * 700, "ba" * 700))
+        result, payload = invoke_json(
+            runner,
+            [
+                "consensus",
+                "--distance",
+                distance,
+                "--objective",
+                "radius-sum",
+                "-d",
+                str(d),
+                "-D",
+                "1400",
+                path,
+            ],
+        )
+        assert result.exit_code == 1
+        assert payload["status"] == "infeasible"
+
     def test_hamming_radius_at_depth_1200(self, runner, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("a" * 2400, "b" * 2400))
         result, payload = invoke_json(
@@ -630,11 +656,16 @@ def test_installed_entry_point():
         cmd = [sys.executable, "-m", "swapsensus.cli"]
     else:
         cmd = [exe]
+    # The child imports this checkout's package, whether or not it is installed.
+    src = str(Path(swapsensus.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         cmd + ["distance", "--metric", "swap", "--output", "json", "abab", "baba"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2

@@ -20,6 +20,7 @@ from swapsensus import (
     format_instance,
     parse_instance,
 )
+from swapsensus.core import depth_first
 
 
 @st.composite
@@ -152,3 +153,44 @@ class TestConsensusAnswer:
 class TestMisc:
     def test_inf_constant(self):
         assert math.isinf(INF) and INF > 0
+
+
+class TestDepthFirst:
+    # Children by node. Expansion stops at depth 3, so a node's subtree
+    # depends on (node, depth) alone and shrinks as the depth grows. "n" is
+    # its own child, and is reached again under "c" and directly from "r".
+    GRAPH = {"r": "abn", "a": "n", "b": "c", "c": "n", "n": "n"}
+
+    def walk(self, exhausted, answer=None):
+        calls = []
+
+        def expand(node, depth):
+            calls.append((node, depth))
+            if node == answer:
+                return None
+            return self.GRAPH[node] if depth < 3 else ()
+
+        return depth_first("r", expand, exhausted), calls
+
+    def test_exhausted_subtrees_are_not_searched_again(self):
+        table = {}
+        found, calls = self.walk(table)
+        assert found is None
+        assert calls == [
+            ("r", 0),
+            ("a", 1),
+            ("n", 2),
+            ("n", 3),  # n at depth 2 is still on the stack: expanded again
+            ("b", 1),
+            ("c", 2),
+            # n at depth 3 under c: exhausted at depth 2, skipped
+            ("n", 1),  # shallower than its entry: expanded
+            # its child n at depth 2: exhausted at depth 2, skipped
+        ]
+        assert table == {"r": 0, "a": 1, "b": 1, "c": 2, "n": 1}
+        _, plain = self.walk(None)
+        assert plain == calls[:6] + [("n", 3), ("n", 1), ("n", 2), ("n", 3)]
+
+    def test_answer_is_the_plain_walks(self):
+        for answer in [None, *self.GRAPH]:
+            assert self.walk({}, answer)[0] == self.walk(None, answer)[0] == answer

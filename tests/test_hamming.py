@@ -352,3 +352,15 @@ class TestDeepSearches:
         # One path down to the first leaf, then every "b" sibling on the way
         # back is pruned by the sum bound that leaf sets.
         assert ans.stats.nodes_expanded == 1401 + 1399
+
+    @pytest.mark.parametrize("m", [10, 700])
+    def test_radius_sum_infeasible_by_the_slack_sum(self, m):
+        # Every column costs one mismatch, so each leaf totals 2m, above the
+        # 2(m - 1) the two slacks allow: the root is pruned.
+        words = ("ab" * m, "ba" * m)
+        ans = rs_consensus_ham_mixed(zero_rs_query(words, m - 1, 2 * m))
+        assert not ans.feasible
+        assert ans.reason == (
+            f"no word meets radius {m - 1} slacks with sum within {2 * m}"
+        )
+        assert ans.stats.nodes_expanded == 1

@@ -9,7 +9,7 @@ import pytest
 
 import reference as ref
 from conftest import random_words
-from swapsensus import Instance, radius_consensus_sh, sh_cost
+from swapsensus import Instance, dollar_pad, radius_consensus_sh, sh_cost
 
 
 def ref_feasible(inst: Instance, d: int) -> bool:
@@ -40,6 +40,14 @@ class TestKnownInstances:
         ans = radius_consensus_sh(Instance(("aa", "bb")), 0)
         assert not ans.feasible
         assert ans.reason == "no word within swap+substitution radius 0 of all inputs"
+
+    def test_padded_instance_is_infeasible_at_radius_3(self):
+        # Its candidates recur under many move orders; a subtree already
+        # proved empty is not searched again (3,061,328 nodes if it were).
+        inst = dollar_pad(Instance(("aabbcb", "bccabc", "abacca")))
+        ans = radius_consensus_sh(inst, 3)
+        assert not ans.feasible
+        assert ans.stats.nodes_expanded == 37_438
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
