@@ -33,7 +33,6 @@ from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import (
     MixedRadiusQuery,
     MixedRadiusSumQuery,
-    PAD_SYMBOLS,
     hamming_distance,
     pad_mixed,
     radius_consensus_ham_mixed,
@@ -57,7 +56,7 @@ from .pipeline import (
     sum_consensus_swap,
 )
 from .sh_metric import SHWitness, sh_cost, sh_distance
-from .sh_radius import BranchMove, radius_consensus_sh
+from .sh_radius import radius_consensus_sh
 from .sh_sum import DPState, sum_consensus_sh, swap_set
 from .solve import solve
 from .swaps import (
@@ -98,7 +97,6 @@ __all__ = [
     "disentangle",
     "MixedRadiusQuery",
     "MixedRadiusSumQuery",
-    "PAD_SYMBOLS",
     "hamming_distance",
     "pad_mixed",
     "radius_consensus_ham_mixed",
@@ -119,7 +117,6 @@ __all__ = [
     "SHWitness",
     "sh_cost",
     "sh_distance",
-    "BranchMove",
     "radius_consensus_sh",
     "DPState",
     "sum_consensus_sh",

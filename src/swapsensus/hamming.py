@@ -35,8 +35,8 @@ __all__ = [
     "pad_mixed",
 ]
 
-#: Symbols reserved by the pad construction.
-PAD_SYMBOLS = ("0", "1")
+# Symbols reserved by the pad construction.
+_PAD_SYMBOLS = ("0", "1")
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def pad_mixed(
     Returns (instance, d) or (instance, d, 2*D).
     """
     inst = q.budgeted.instance
-    present = set(PAD_SYMBOLS) & set(inst.alphabet)
+    present = set(_PAD_SYMBOLS) & set(inst.alphabet)
     if present:
         raise ReservedSymbolPresent(
             f"instance already uses reserved pad symbol(s) {sorted(present)}"

@@ -11,7 +11,6 @@ can rescue it. Any returned witness is re-certified from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
@@ -26,35 +25,16 @@ from .core import (
 from .hamming import hamming_distance
 from .sh_metric import sh_cost
 
-__all__ = ["BranchMove", "radius_consensus_sh"]
+__all__ = ["radius_consensus_sh"]
 
 
-@dataclass(frozen=True)
-class BranchMove:
-    """One child step: rewrite a window of the candidate from a violating word.
+def _moves(cand: Word, w: Word, d: int) -> Iterator[Word]:
+    """Children of ``cand`` that copy symbols from the violating word ``w``.
 
-    ``kind`` is "substitute" (a one-symbol window) or "swap-in" (a two-symbol
-    window receiving the word's symbols in exchanged order). ``position`` is
-    the 1-based left edge of the window, ``symbols`` the replacement text, and
-    ``source_string_index`` the 1-based index of the word copied from.
-    """
-
-    kind: str
-    position: int
-    symbols: str
-    source_string_index: int
-
-
-def _apply(cand: Word, move: BranchMove) -> Word:
-    p = move.position - 1
-    return cand[:p] + move.symbols + cand[p + len(move.symbols) :]
-
-
-def _moves(cand: Word, w: Word, idx: int, d: int) -> Iterator[BranchMove]:
-    """Branch moves for the violating word ``w`` (1-based index ``idx``).
-
-    Yielded lazily: the depth-first walk usually succeeds or fails on the
-    first few children, and there can be 3 * hamming(cand, w) moves.
+    Each child rewrites one window of the candidate: one symbol taken from
+    ``w``, or two adjacent symbols of ``w`` in exchanged order. Yielded
+    lazily: the depth-first walk usually succeeds or fails on the first few
+    children, and there can be 3 * hamming(cand, w) of them.
     """
     n = len(cand)
     mism = [p for p in range(n) if cand[p] != w[p]]
@@ -63,16 +43,16 @@ def _moves(cand: Word, w: Word, idx: int, d: int) -> Iterator[BranchMove]:
         # Any witness agrees with w on all but at most 2d of these, so some
         # of the first 2d+1 disagreements must be resolved by copying.
         for p in mism[: 2 * d + 1]:
-            yield BranchMove("substitute", p + 1, w[p], idx)
+            yield cand[:p] + w[p] + cand[p + 1 :]
         return
     assert d + 1 <= ham <= 2 * d
     for p in mism:
-        yield BranchMove("substitute", p + 1, w[p], idx)
+        yield cand[:p] + w[p] + cand[p + 1 :]
     for p in mism:
         if p + 1 < n:
-            yield BranchMove("swap-in", p + 1, w[p + 1] + w[p], idx)
+            yield cand[:p] + w[p + 1] + w[p] + cand[p + 2 :]
         if p - 1 >= 0:
-            yield BranchMove("swap-in", p, w[p] + w[p - 1], idx)
+            yield cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
 
 
 def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
@@ -104,8 +84,8 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
             return None  # cand is a witness
         if depth == 2 * d:
             return ()
-        moves = _moves(cand, inst.words[violating], violating + 1, d)
-        return (child for child in (_apply(cand, m) for m in moves) if child != cand)
+        children = _moves(cand, inst.words[violating], d)
+        return (child for child in children if child != cand)
 
     with Timer(stats):
         witness = depth_first(inst.words[0], expand, exhausted={})

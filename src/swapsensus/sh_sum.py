@@ -9,17 +9,20 @@ nonempty, and the empty-W states are only ever extended with the per-column
 plurality symbol, so keeping one best prefix per (row, W) key is lossless and
 the table stays polynomial in size.
 
-Extensions from a settled state append either one symbol that creates a new
-swap for at least one word (the symbol must then occur in the column under
-the swap's left position), or the plurality symbol when it creates no swap,
-or two symbols forming a reversed occurring 2-gram, provided the first of
-them alone creates no swap. Costs are maintained incrementally by counting
-every new mismatch and crediting one unit back per confirmed swap; the final
-answer is recomputed from scratch and cross-checked before it is returned.
+The table starts from the empty prefix, and every settled state, that one
+included, is extended by the same three rules: append one symbol that
+creates a new swap for at least one word (the symbol must then occur in the
+column under the swap's left position), or the plurality symbol when it
+creates no swap, or two symbols forming a reversed occurring 2-gram,
+provided the first of them alone creates no swap. Costs are maintained
+incrementally from per-column symbol counts, counting every new mismatch and
+crediting one unit back per confirmed swap; the final answer is recomputed
+from scratch and cross-checked before it is returned.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -32,7 +35,6 @@ from .core import (
     Word,
     decide_sum,
 )
-from .hamming import sum_consensus_ham
 from .sh_metric import sh_cost, sh_distance
 
 __all__ = ["DPState", "swap_set", "sum_consensus_sh"]
@@ -74,23 +76,6 @@ def swap_set(inst: Instance, t: Word, i: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def _new_swaps(
-    words: tuple[Word, ...], skip: frozenset[int], b: str, pos: int, last: str
-) -> frozenset[int]:
-    """Words forming a swap across 0-based (pos-1, pos) when ``b`` lands at ``pos``.
-
-    ``last`` is the prefix symbol already at pos-1 and ``skip`` holds 0-based
-    indices of words whose previous swap consumed that position.
-    """
-    if b == last:
-        return frozenset()
-    return frozenset(
-        j
-        for j, w in enumerate(words)
-        if j not in skip and w[pos - 1] == b and w[pos] == last
-    )
-
-
 def _settle(
     row: dict[frozenset[int], tuple[int, Word]],
     members: frozenset[int],
@@ -107,87 +92,74 @@ def _run_dp(
 ) -> tuple[Word, int, tuple[DPState, ...]]:
     words = inst.words
     k, n = inst.k, inst.n
-    s_h = sum_consensus_ham(inst).solution
-    assert s_h is not None
     empty: frozenset[int] = frozenset()
+    # have[p] counts the symbols of column p; a symbol b there costs k - have[p][b].
+    have = [Counter(w[p] for w in words) for p in range(n)]
+    plurality = [min(h, key=lambda b: (-h[b], b)) for h in have]
+    # grams[p] maps each unequal 2-gram at columns (p-1, p) to the 0-based
+    # indices of the words carrying it; grams[0] and grams[n] are empty.
+    grams: list[dict[str, frozenset[int]]] = [{} for _ in range(n + 1)]
+    for p in range(1, n):
+        carriers: dict[str, set[int]] = {}
+        for j, w in enumerate(words):
+            if w[p - 1] != w[p]:
+                carriers.setdefault(w[p - 1 : p + 1], set()).add(j)
+        grams[p] = {g: frozenset(js) for g, js in carriers.items()}
 
-    # rows[r] maps a swap set (0-based indices) to its best (cost, prefix).
-    rows: list[dict[frozenset[int], tuple[int, Word]]] = [dict() for _ in range(n)]
-    rows[0][empty] = (sum(1 for w in words if w[0] != s_h[0]), s_h[0])
+    def created(p: int, b: str, last: str, members: frozenset[int]) -> frozenset[int]:
+        # Words newly swapping across (p-1, p) when b lands at p after last;
+        # members already spent position p-1 on their previous swap.
+        return grams[p].get(b + last, empty) - members
 
-    # Row 1 is seeded directly rather than extended from row 0: one state per
-    # distinct unequal-lettered opening 2-gram (reversed, it swaps exactly the
-    # words carrying it), plus the plurality prefix when that creates no swap.
-    for g in sorted({w[0:2] for w in words if w[0] != w[1]}):
-        members = frozenset(j for j, w in enumerate(words) if w[0:2] == g)
-        cost = (
-            sum(1 for w in words if w[0] != g[1])
-            + sum(1 for w in words if w[1] != g[0])
-            - len(members)
-        )
-        _settle(rows[1], members, cost, g[1] + g[0])
-    if not _new_swaps(words, empty, s_h[1], 1, s_h[0]):
-        cost = sum(1 for w in words if w[0] != s_h[0]) + sum(
-            1 for w in words if w[1] != s_h[1]
-        )
-        _settle(rows[1], empty, cost, s_h[0:2])
-
-    for r in range(n - 1):
-        L = r + 1  # settled prefix length; position L is appended next
-        for members, (cost, prefix) in list(rows[r].items()):
-            last = prefix[-1]
-            if r >= 1:
-                # One appended symbol creating at least one new swap. The
-                # swap forces the symbol to occur in column L-1.
-                for b in inst.column(L - 1):
-                    created = _new_swaps(words, members, b, L, last)
-                    if not created:
-                        continue
+    # rows[L] maps a swap set (0-based indices) to the best (cost, prefix) of
+    # length L; the empty prefix is the one state of rows[0].
+    rows: list[dict[frozenset[int], tuple[int, Word]]] = [{} for _ in range(n + 1)]
+    rows[0][empty] = (0, "")
+    for L in range(n):  # extend prefixes of length L at position L
+        for members, (cost, prefix) in rows[L].items():
+            last = prefix[-1:]
+            # One symbol creating at least one new swap: the reversed gram
+            # must end with last, so the symbol occurs in column L-1.
+            for g, carriers in grams[L].items():
+                if g[1] == last and (swappers := carriers - members):
+                    new_cost = cost + k - have[L][g[0]] - len(swappers)
+                    _settle(rows[L + 1], swappers, new_cost, prefix + g[0])
+            # The plurality symbol, allowed only when it creates no swap.
+            b = plurality[L]
+            if not created(L, b, last, members):
+                _settle(rows[L + 1], empty, cost + k - have[L][b], prefix + b)
+            # Two symbols forming a reversed occurring 2-gram, provided the
+            # first alone creates no swap; the gram's carriers swap.
+            for g, swappers in grams[L + 1].items():
+                if not created(L, g[1], last, members):
                     new_cost = (
-                        cost + sum(1 for w in words if w[L] != b) - len(created)
+                        cost + 2 * k - have[L][g[1]] - have[L + 1][g[0]] - len(swappers)
                     )
-                    _settle(rows[r + 1], created, new_cost, prefix + b)
-                # The plurality symbol, allowed only when it creates no swap.
-                b = s_h[L]
-                if not _new_swaps(words, members, b, L, last):
-                    new_cost = cost + sum(1 for w in words if w[L] != b)
-                    _settle(rows[r + 1], empty, new_cost, prefix + b)
-            if L + 1 <= n - 1:
-                # Two appended symbols forming a reversed occurring 2-gram,
-                # provided the first alone creates no swap. The landing swap
-                # set is exactly the words carrying the gram.
-                for g in sorted({w[L : L + 2] for w in words if w[L] != w[L + 1]}):
-                    if _new_swaps(words, members, g[1], L, last):
-                        continue
-                    swappers = frozenset(
-                        j for j, w in enumerate(words) if w[L : L + 2] == g
-                    )
-                    new_cost = (
-                        cost
-                        + sum(1 for w in words if w[L] != g[1])
-                        + sum(1 for w in words if w[L + 1] != g[0])
-                        - len(swappers)
-                    )
-                    _settle(rows[r + 2], swappers, new_cost, prefix + g[1] + g[0])
+                    _settle(rows[L + 2], swappers, new_cost, prefix + g[1] + g[0])
 
-    for r, row in enumerate(rows):
+    # The table's row r holds prefixes of length r+1. Row 0 is one swap-free
+    # state; every later row holds at most k states with swaps plus one without.
+    for r, row in enumerate(rows[1:]):
+        limit = k if r else 0
         nonempty = sum(1 for m in row if m)
-        if nonempty > k * r or len(row) > k * r + 1:
+        if nonempty > limit or len(row) > limit + 1:
             raise CertificationFailure(
                 f"row {r} holds {len(row)} states ({nonempty} with swaps), "
                 f"exceeding the reachability bound"
             )
         stats.dp_states += len(row)
 
-    final = rows[n - 1]
+    final = rows[n]
     if not final:
         raise CertificationFailure("the table's last row is empty")
     best_cost, best_word = min(final.values())
 
     table = tuple(
-        DPState(r, tuple(sorted(j + 1 for j in m)), p, c)
-        for r, row in enumerate(rows)
-        for m, (c, p) in sorted(row.items(), key=lambda kv: tuple(sorted(kv[0])))
+        DPState(r, members, p, c)
+        for r, row in enumerate(rows[1:])
+        for members, (c, p) in sorted(
+            (tuple(sorted(j + 1 for j in m)), held) for m, held in row.items()
+        )
     )
     return best_word, best_cost, table
 
@@ -199,24 +171,16 @@ def sum_consensus_sh(
 
     Always feasible as an optimization problem; with ``D`` given, the answer
     additionally decides whether the optimal sum is within ``D``. Returns the
-    answer plus the full settled table (empty for the k=1 and n=1 bypasses,
-    which need no search).
+    answer plus the full settled table, for k=1 and n=1 too. The witness's
+    distances are recomputed from scratch and must sum to the table's cost.
     """
     stats = SearchStats()
-    table: tuple[DPState, ...] = ()
     with Timer(stats):
-        if inst.k == 1:
-            witness = inst.words[0]
-        elif inst.n == 1:
-            ham = sum_consensus_ham(inst)
-            assert ham.solution is not None
-            witness = ham.solution
-        else:
-            witness, best_cost, table = _run_dp(inst, stats)
-            recomputed = sum(sh_cost(w, witness) for w in inst.words)
-            if recomputed != best_cost:
-                raise CertificationFailure(
-                    f"table cost {best_cost} != recomputed sum {recomputed}"
-                )
-    dists = tuple(float(sh_cost(w, witness)) for w in inst.words)
-    return decide_sum(ConsensusAnswer.found(witness, dists, stats), D), table
+        witness, best_cost, table = _run_dp(inst, stats)
+        dists = tuple(sh_cost(w, witness) for w in inst.words)
+        if sum(dists) != best_cost:
+            raise CertificationFailure(
+                f"table cost {best_cost} != recomputed sum {sum(dists)}"
+            )
+    answer = ConsensusAnswer.found(witness, tuple(map(float, dists)), stats)
+    return decide_sum(answer, D), table

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 
 import pytest
 
 import reference as ref
-from conftest import random_words
+from conftest import best_of, random_words
 from swapsensus import (
     DPState,
     Instance,
     OutOfRange,
+    gen_planted,
     sh_cost,
     sum_consensus_sh,
     swap_set,
@@ -108,9 +111,12 @@ class TestStateIntegrity:
         for row, states in by_row.items():
             keys = [s.swap_members for s in states]
             assert len(keys) == len(set(keys)), "one state per swap set"
+            # Row 0 is the one swap-free prefix; later rows hold at most k
+            # states with swaps plus the swap-free one.
+            limit = k if row else 0
             nonempty = sum(1 for s in states if s.swap_members)
-            assert nonempty <= k * row
-            assert len(states) <= k * row + 1
+            assert nonempty <= limit
+            assert len(states) <= limit + 1
 
     def test_three_word_example(self):
         inst = Instance(WORDS)
@@ -157,15 +163,48 @@ class TestDecisionBound:
         assert len(table) == 12, "the settled table is still reported"
 
 
-class TestBypasses:
+class TestSmallTables:
+    """k=1 and n=1 run the same table as every other instance."""
+
     def test_single_word(self):
-        ans, table = sum_consensus_sh(Instance(("abcab",)))
+        inst = Instance(("abcab",))
+        ans, table = sum_consensus_sh(inst)
         assert ans.solution == "abcab"
         assert ans.sum_distance == 0
-        assert table == ()
+        assert as_tuples(table) == {
+            (0, (), "a", 0),
+            (1, (), "ab", 0),
+            (1, (1,), "ba", 1),
+            (2, (), "abc", 0),
+            (2, (1,), "acb", 1),
+            (3, (), "abca", 0),
+            (3, (1,), "abac", 1),
+            (4, (), "abcab", 0),
+            (4, (1,), "abcba", 1),
+        }
+        assert ans.stats.dp_states == len(table) == 9
+        TestStateIntegrity().check_table(inst, table)
 
     def test_single_column(self):
         ans, table = sum_consensus_sh(Instance(("a", "b", "b")))
         assert ans.solution == "b"
         assert ans.sum_distance == 1
-        assert table == ()
+        assert table == (DPState(0, (), "b", 1),)
+
+
+def test_time_per_state_is_sublinear_in_k():
+    # n=200 from one planted centre; each state's extensions read per-column
+    # tables instead of rescanning all k words, so time per state grows well
+    # below linearly in k (a rescan per state gives ~0.95).
+    sizes = (10, 30, 100, 300)
+    states, per_state = [], []
+    for k in sizes:
+        inst, _ = gen_planted(97, 200, k, 4, 4)
+        elapsed, (ans, _) = best_of(3, lambda: sum_consensus_sh(inst))
+        states.append(ans.stats.dp_states)
+        per_state.append(max(elapsed, 1e-6) / ans.stats.dp_states)
+    assert tuple(states) == (400, 477, 715, 1110)
+    fit = statistics.linear_regression(
+        [math.log(k) for k in sizes], [math.log(t) for t in per_state]
+    )
+    assert fit.slope <= 0.75, f"log-log slope {fit.slope:.2f} exceeds 0.75 ({per_state})"
