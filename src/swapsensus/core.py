@@ -272,6 +272,11 @@ def depth_first(
     iterable of its children, drawn lazily one at a time (a node is never
     None). Returns the answer, or None once the tree is exhausted.
 
+    A drawn child is expanded, or skipped, before the next child is drawn
+    from any iterable: ``expand`` runs on a child right after its parent's
+    iterable yields it. Callers may rely on this order, e.g. to hand a
+    child state its generator recorded just before yielding it.
+
     ``exhausted``, when given, is a table of subtrees already proved empty:
     when a node's children run out at depth d, the walk records
     ``exhausted[node] = d``, and it skips (without calling ``expand``) any

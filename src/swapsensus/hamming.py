@@ -10,8 +10,11 @@ appending per-string binary pads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress, islice
+from operator import ne
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BudgetedInstance,
@@ -82,7 +85,25 @@ def hamming_distance(s: Word, t: Word) -> int:
     """Number of mismatching positions."""
     if len(s) != len(t):
         raise LengthMismatch(f"|s|={len(s)} vs |t|={len(t)}")
-    return sum(a != b for a, b in zip(s, t))
+    return sum(map(ne, s, t))
+
+
+def _rederive(
+    child: Word, words: Sequence[Word], parent: Word, dists: list[int], p: int
+) -> list[int]:
+    """``child``'s Hamming distances to ``words``, from ``parent``'s ``dists``.
+
+    The two candidates may differ only at positions p and p + 1, so each
+    word's distance changes by at most one per rewritten column: O(k), not
+    O(kn). ``dists`` is not modified.
+    """
+    for q in range(p, min(p + 2, len(child))):
+        old, new = parent[q], child[q]
+        if old != new:
+            dists = [
+                dist + (w[q] == old) - (w[q] == new) for dist, w in zip(dists, words)
+            ]
+    return dists
 
 
 def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
@@ -94,13 +115,10 @@ def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
     stats = SearchStats()
     with Timer(stats):
         cols = []
-        for p in range(inst.n):
-            counts: dict[str, int] = {}
-            for w in inst.words:
-                counts[w[p]] = counts.get(w[p], 0) + 1
-            best = max(sorted(counts), key=lambda c: counts[c])
+        for column in zip(*inst.words):
+            counts = Counter(column)
             # max() keeps the first (smallest) symbol on count ties.
-            cols.append(best)
+            cols.append(max(sorted(counts), key=counts.__getitem__))
         solution = "".join(cols)
         dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
     return ConsensusAnswer.found(solution, dists, stats)
@@ -119,6 +137,13 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     depend on the candidate alone and the prune only tightens with depth, so
     a candidate whose subtree was exhausted at depth d0 is not searched again
     at any depth >= d0; the table lives for this call.
+
+    Distances are computed from scratch at the root only. A child differs
+    from its parent in one column, so its distances are derived from the
+    parent's in O(k): the child generator records (parent, its distances,
+    the rewritten position) in the slot for the child's depth just before
+    it yields, and ``depth_first`` expands (or skips) each drawn child
+    before it draws the next.
     """
     over = _budgets_over(q.budgeted.budgets, q.d)
     if over is not None:
@@ -127,10 +152,24 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     words = inst.words
     slacks = [q.d - x for x in q.budgeted.budgets]
     stats = SearchStats()
+    # at[t] = (parent, parent's distances, rewritten position) of the child
+    # last drawn at depth t.
+    at: dict[int, tuple[str, list[int], int]] = {}
+
+    def children(cand: str, dists: list[int], depth: int, i: int) -> Iterator[str]:
+        # Copy word i's symbol at each of its first slack + 1 mismatches.
+        w = words[i]
+        mism = compress(range(inst.n), map(ne, cand, w))
+        for p in islice(mism, slacks[i] + 1):
+            at[depth + 1] = (cand, dists, p)
+            yield cand[:p] + w[p] + cand[p + 1 :]
 
     def expand(cand: str, depth: int) -> Iterable[str] | None:
         stats.nodes_expanded += 1
-        dists = [hamming_distance(cand, w) for w in words]
+        if depth:
+            dists = _rederive(cand, words, *at[depth])
+        else:
+            dists = [hamming_distance(cand, w) for w in words]
         remaining = q.d - depth
         violated = -1
         for i, (dist, slack) in enumerate(zip(dists, slacks)):
@@ -143,10 +182,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
             return None  # cand is a witness
         if remaining == 0:
             return ()
-        w = words[violated]
-        branch_positions = [p for p in range(inst.n) if cand[p] != w[p]]
-        branch_positions = branch_positions[: slacks[violated] + 1]
-        return (cand[:p] + w[p] + cand[p + 1 :] for p in branch_positions)
+        return children(cand, dists, depth, violated)
 
     with Timer(stats):
         witness = depth_first(words[0], expand, exhausted={})

@@ -11,6 +11,8 @@ can rescue it. Any returned witness is re-certified from scratch.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Iterable, Iterator
 
 from .core import (
@@ -22,37 +24,38 @@ from .core import (
     Word,
     depth_first,
 )
-from .hamming import hamming_distance
+from .hamming import _rederive, hamming_distance
 from .sh_metric import sh_cost
 
 __all__ = ["radius_consensus_sh"]
 
 
-def _moves(cand: Word, w: Word, d: int) -> Iterator[Word]:
+def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
     """Children of ``cand`` that copy symbols from the violating word ``w``.
 
     Each child rewrites one window of the candidate: one symbol taken from
-    ``w``, or two adjacent symbols of ``w`` in exchanged order. Yielded
-    lazily: the depth-first walk usually succeeds or fails on the first few
-    children, and there can be 3 * hamming(cand, w) of them.
+    ``w``, or two adjacent symbols of ``w`` in exchanged order; it comes
+    with the first position of that window. Yielded lazily: the depth-first
+    walk usually succeeds or fails on the first few children, and there can
+    be 3 * hamming(cand, w) of them.
     """
     n = len(cand)
-    mism = [p for p in range(n) if cand[p] != w[p]]
+    mism = list(compress(range(n), map(ne, cand, w)))
     ham = len(mism)
     if ham >= 2 * d + 1:
         # Any witness agrees with w on all but at most 2d of these, so some
         # of the first 2d+1 disagreements must be resolved by copying.
         for p in mism[: 2 * d + 1]:
-            yield cand[:p] + w[p] + cand[p + 1 :]
+            yield p, cand[:p] + w[p] + cand[p + 1 :]
         return
     assert d + 1 <= ham <= 2 * d
     for p in mism:
-        yield cand[:p] + w[p] + cand[p + 1 :]
+        yield p, cand[:p] + w[p] + cand[p + 1 :]
     for p in mism:
         if p + 1 < n:
-            yield cand[:p] + w[p + 1] + w[p] + cand[p + 2 :]
+            yield p, cand[:p] + w[p + 1] + w[p] + cand[p + 2 :]
         if p - 1 >= 0:
-            yield cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
+            yield p - 1, cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
 
 
 def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
@@ -65,35 +68,56 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     children on the candidate alone, the prune and the 2d cap only tighten
     with depth), so a candidate whose subtree was exhausted at depth d0 is
     not searched again at any depth >= d0; the table lives for this call.
+
+    Hamming distances are computed from scratch at the root only; a child
+    rewrites one or two adjacent positions, so its distances are derived
+    from its parent's in O(k), through the per-depth slot its generator
+    fills just before it yields (``depth_first`` expands or skips each drawn
+    child before it draws the next). The first violating word is found by
+    the distance sandwich sh <= hamming <= 2 * sh: a word within Hamming
+    distance d is within d, one at Hamming distance 2d + 1 or more is not,
+    and ``sh_cost`` decides only the words in between.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
+    words = inst.words
     stats = SearchStats()
+    # at[t] = (parent, parent's distances, first rewritten position) of the
+    # child last drawn at depth t.
+    at: dict[int, tuple[Word, list[int], int]] = {}
+
+    def children(cand: Word, dists: list[int], depth: int, w: Word) -> Iterator[Word]:
+        for p, child in _moves(cand, w, d):
+            if child != cand:
+                at[depth + 1] = (cand, dists, p)
+                yield child
 
     def expand(cand: Word, depth: int) -> Iterable[Word] | None:
         stats.nodes_expanded += 1
-        for w in inst.words:
-            if hamming_distance(cand, w) >= 4 * d - depth + 1:
-                return ()
+        if depth:
+            dists = _rederive(cand, words, *at[depth])
+        else:
+            dists = [hamming_distance(cand, w) for w in words]
+        if max(dists) >= 4 * d - depth + 1:
+            return ()
         violating = None
-        for idx, w in enumerate(inst.words):
-            if sh_cost(cand, w) > d:
-                violating = idx
+        for w, ham in zip(words, dists):
+            if ham > d and (ham > 2 * d or sh_cost(cand, w) > d):
+                violating = w
                 break
         if violating is None:
             return None  # cand is a witness
         if depth == 2 * d:
             return ()
-        children = _moves(cand, inst.words[violating], d)
-        return (child for child in children if child != cand)
+        return children(cand, dists, depth, violating)
 
     with Timer(stats):
-        witness = depth_first(inst.words[0], expand, exhausted={})
+        witness = depth_first(words[0], expand, exhausted={})
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within swap+substitution radius {d} of all inputs", stats
         )
-    dists = tuple(float(sh_cost(w, witness)) for w in inst.words)
+    dists = tuple(float(sh_cost(w, witness)) for w in words)
     if max(dists) > d:
         raise CertificationFailure(
             f"witness exceeds the radius: {int(max(dists))} > {d}"

@@ -40,3 +40,16 @@ def best_of(repeats: int, fn):
 def random_instance(rng: random.Random, **kwargs) -> Instance:
     """Draw a random Instance; keyword arguments pass through to random_words."""
     return Instance(random_words(rng, **kwargs))
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Log every call of ``module.name`` (looked up at call time); returns the log."""
+    log: list[tuple] = []
+    real = getattr(module, name)
+
+    def logged(*args):
+        log.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, logged)
+    return log

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line
 per requirement: the two worked walkthroughs, the recorded prefix table,
 the distance anchors, brute-force agreement for every solver, the invariant
-sweeps, a scaling smoke test, and the padding equivalence.
+sweeps, a scaling smoke test, the padding equivalence, and the node counts
+of both radius trees against the paper's FPT claim.
 """
 
 from __future__ import annotations
@@ -372,6 +373,37 @@ def test_08_padding_equivalence():
         assert via_pad.feasible == plain.feasible, (trial, inst.words, d)
         feasible_seen += via_pad.feasible
     assert 0 < feasible_seen < 1000
+
+
+def test_09_radius_trees_are_fpt_in_d():
+    # Node counts are deterministic, so this checks the paper's FPT claim on
+    # counters, not on wall time: the trees' sizes are bounded by functions
+    # of d alone, and the swap+substitution tree's does not grow with n or k.
+    ns = (25, 50, 100, 200, 400, 800)
+    ks = (4, 8, 16, 32, 64)
+    sh_nodes = {}
+    for d in (2, 3):
+        ham_bound = sum((d + 1) ** i for i in range(d + 1))
+        sh_bound = sum((6 * d) ** i for i in range(2 * d + 1))
+        for n in ns:
+            for k in ks:
+                for seed in range(6):
+                    inst, _ = gen_planted(seed, n, k, 4, 3)
+                    zero = BudgetedInstance(inst, (0,) * k)
+                    ham = radius_consensus_ham_mixed(MixedRadiusQuery(zero, d))
+                    sh = radius_consensus_sh(inst, d)
+                    assert ham.stats.nodes_expanded <= ham_bound, (d, n, k, seed)
+                    assert sh.stats.nodes_expanded <= sh_bound, (d, n, k, seed)
+                    sh_nodes[n, k, d, seed] = sh.stats.nodes_expanded
+    for axis, values in ((0, ns), (1, ks)):
+        medians = [
+            statistics.median(v for key, v in sh_nodes.items() if key[axis] == x)
+            for x in values
+        ]
+        fit = statistics.linear_regression(
+            [math.log(x) for x in values], [math.log(m) for m in medians]
+        )
+        assert abs(fit.slope) <= 0.5, (axis, fit.slope, medians)
 
 
 def _random_proper_bits(rng: random.Random, s: str) -> str:

@@ -191,6 +191,32 @@ class TestDepthFirst:
         _, plain = self.walk(None)
         assert plain == calls[:6] + [("n", 3), ("n", 1), ("n", 2), ("n", 3)]
 
+    def test_each_drawn_child_is_expanded_or_skipped_before_the_next_draw(self):
+        for exhausted in (None, {}):
+            events = []
+
+            def children(node):
+                for child in self.GRAPH[node]:
+                    events.append(("draw", child))
+                    yield child
+
+            def expand(node, depth):
+                events.append(("expand", node))
+                return children(node) if depth < 3 else ()
+
+            depth_first("r", expand, exhausted)
+            assert events[0] == ("expand", "r")
+            skipped = 0
+            for before, event in zip(events, events[1:] + [("end",)]):
+                if event[0] == "expand":
+                    # A child is expanded right after it is drawn.
+                    assert before == ("draw", event[1])
+                elif before[0] == "draw":
+                    # A skipped child: the next event is a draw or the end.
+                    skipped += 1
+            # The exhausted walk skips n twice (see the test above).
+            assert skipped == (0 if exhausted is None else 2)
+
     def test_answer_is_the_plain_walks(self):
         for answer in [None, *self.GRAPH]:
             assert self.walk({}, answer)[0] == self.walk(None, answer)[0] == answer

@@ -7,8 +7,9 @@ import random
 import pytest
 
 import reference as ref
-from conftest import random_instance
+from conftest import count_calls, random_instance
 from swapsensus import (
+    hamming,
     BudgetedInstance,
     Instance,
     LengthMismatch,
@@ -342,6 +343,15 @@ class TestDeepSearches:
         assert ans.solution == "b" * 1200 + "a" * 1200
         assert ans.per_string_distances == (1200, 1200)
         assert ans.stats.nodes_expanded == 1201
+
+    def test_radius_search_computes_distances_at_the_root_only(self, monkeypatch):
+        # Each child rewrites one column, so its distances come from its
+        # parent's in O(k): two calls at the root and two to certify the
+        # witness, not two more for each of the 1,200 other nodes.
+        calls = count_calls(monkeypatch, hamming, "hamming_distance")
+        ans = radius_consensus_ham_mixed(zero_radius_query(("a" * 2400, "b" * 2400), 1200))
+        assert ans.stats.nodes_expanded == 1201
+        assert len(calls) == 4
 
     def test_radius_sum_search_over_1400_columns(self):
         words = ("ab" * 700, "ba" * 700)

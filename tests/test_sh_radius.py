@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import reference as ref
-from conftest import random_words
-from swapsensus import Instance, dollar_pad, radius_consensus_sh, sh_cost
+from conftest import count_calls, random_words
+from swapsensus import Instance, dollar_pad, radius_consensus_sh, sh_cost, sh_radius
 
 
 def ref_feasible(inst: Instance, d: int) -> bool:
@@ -48,6 +48,20 @@ class TestKnownInstances:
         ans = radius_consensus_sh(inst, 3)
         assert not ans.feasible
         assert ans.stats.nodes_expanded == 37_438
+
+    def test_distance_calls_on_the_padded_instance(self, monkeypatch):
+        # Hamming distances are computed for the root's three words only,
+        # then derived from the parent's (93,604 calls if every node
+        # recomputed them). sh_cost runs only for words with d < hamming <=
+        # 2d, where the sandwich sh <= hamming <= 2 * sh cannot decide
+        # (19,996 calls if every word up to the first violator paid it).
+        ham_calls = count_calls(monkeypatch, sh_radius, "hamming_distance")
+        sh_calls = count_calls(monkeypatch, sh_radius, "sh_cost")
+        inst = dollar_pad(Instance(("aabbcb", "bccabc", "abacca")))
+        ans = radius_consensus_sh(inst, 3)
+        assert ans.stats.nodes_expanded == 37_438
+        assert len(ham_calls) == 3
+        assert len(sh_calls) == 16_194
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
