@@ -6,6 +6,8 @@ import math
 import random
 import statistics
 
+import pytest
+
 import reference as ref
 from conftest import best_of, random_words
 from swapsensus import (
@@ -116,6 +118,73 @@ class TestInfeasibleInstances:
         assert isinstance(out, Infeasible)
         assert out.column == 1
         assert common_matches(("bca", "acb")) == set()
+
+    @pytest.mark.parametrize(
+        "words,reason,column",
+        [
+            (
+                ("ab", "aa"),
+                "word 2 has a different symbol multiset than word 1",
+                None,
+            ),
+            (
+                ("bac", "abc", "cab"),
+                "column 1: every word could swap, no symbol is pinned",
+                1,
+            ),
+            (
+                ("bca", "acb"),
+                "column 1: words that cannot swap disagree (['a', 'b'])",
+                1,
+            ),
+            # A mover lacks the forced symbol: at an interval's first
+            # column, then at a later frontier column.
+            (
+                ("aabc", "baac", "cbaa"),
+                "column 1: word 3 cannot bring the forced symbol 'a' in by a swap",
+                1,
+            ),
+            (
+                ("caaa", "aaac"),
+                "column 2: word 2 cannot bring the forced symbol 'c' in by a swap",
+                2,
+            ),
+            # The movers push different symbols on: at an interval's first
+            # column, then at a later frontier column.
+            (
+                ("abcb", "bbca", "cbba"),
+                "column 1: swapping words disagree on the symbol pushed to "
+                "column 2 (['a', 'c'])",
+                1,
+            ),
+            (
+                ("aabc", "acba", "baac"),
+                "column 2: swapping words disagree on the symbol pushed to "
+                "column 3 (['a', 'c'])",
+                2,
+            ),
+        ],
+    )
+    def test_reason_names_the_rule(self, words, reason, column):
+        out = disentangle(Instance(words))
+        assert out == Infeasible(reason, column)
+        assert common_matches(words) == set()
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ("aa", "ab"),  # the words disagree at the last column
+            ("aa", "ba"),  # the last column lacks the forced symbol 'b'
+        ],
+    )
+    def test_multiset_rule_covers_the_last_column(self, words):
+        # Left of the scan every column agrees, or pairs benignly, and an
+        # interval's columns are forced equal; so words with one symbol
+        # multiset agree at the last column whenever the scan reaches it.
+        out = disentangle(Instance(words))
+        assert out == Infeasible(
+            "word 2 has a different symbol multiset than word 1", None
+        )
 
 
 class TestAgainstEnumeration:
