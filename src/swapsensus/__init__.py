@@ -20,7 +20,6 @@ from .core import (
     LengthMismatch,
     NotMatching,
     OutOfRange,
-    PrerequisiteNotMatching,
     ReservedSymbolPresent,
     SearchStats,
     SwapsensusError,
@@ -60,13 +59,10 @@ from .sh_radius import radius_consensus_sh
 from .sh_sum import DPState, sum_consensus_sh, swap_set
 from .solve import solve
 from .swaps import (
-    Blocked,
-    Matching,
     SwapStr,
     apply_swaps,
     swap_distance,
     swap_string,
-    three_way_match,
     xor_compose,
 )
 
@@ -84,7 +80,6 @@ __all__ = [
     "LengthMismatch",
     "NotMatching",
     "OutOfRange",
-    "PrerequisiteNotMatching",
     "ReservedSymbolPresent",
     "SearchStats",
     "SwapsensusError",
@@ -123,12 +118,9 @@ __all__ = [
     "swap_set",
     "solve",
     "SwapStr",
-    "Matching",
-    "Blocked",
     "apply_swaps",
     "swap_distance",
     "swap_string",
-    "three_way_match",
     "xor_compose",
     "__version__",
 ]

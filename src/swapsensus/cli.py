@@ -29,7 +29,7 @@ from .core import (
     format_instance,
     parse_instance,
 )
-from .disentangle import Infeasible, disentangle
+from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import hamming_distance
 from .oracle import (
     DEFAULT_CAP,
@@ -152,13 +152,18 @@ def _answer_lines(answer: ConsensusAnswer) -> list[str]:
     return lines
 
 
-def _trace_payload(trace: SwapPipelineTrace) -> dict:
-    dz = trace.disentanglement
+def _disentanglement_payload(dz: Disentanglement) -> dict:
     return {
         "disentangled": list(dz.strings_prime),
         "budgets": list(dz.budgets),
         "necessary_total": dz.total,
         "tangled_intervals": [list(iv) for iv in dz.tangled_intervals],
+    }
+
+
+def _trace_payload(trace: SwapPipelineTrace) -> dict:
+    return {
+        **_disentanglement_payload(trace.disentanglement),
         "encoded": [str(h) for h in trace.encoded],
         "consensus_bits": str(trace.h_star),
         "decoded": trace.decoded,
@@ -300,13 +305,7 @@ def disentangle_cmd(output: str, input_path: str) -> None:
         lines = ["status: infeasible", f"reason: {result.reason}"]
         _emit(payload, output, lines)
         sys.exit(EXIT_INFEASIBLE)
-    payload = {
-        "status": "feasible",
-        "disentangled": list(result.strings_prime),
-        "budgets": list(result.budgets),
-        "necessary_total": result.total,
-        "tangled_intervals": [list(iv) for iv in result.tangled_intervals],
-    }
+    payload = {"status": "feasible", **_disentanglement_payload(result)}
     lines = [
         "status: feasible",
         "disentangled: " + " ".join(result.strings_prime),

@@ -20,7 +20,6 @@ __all__ = [
     "InvalidSymbol",
     "LengthMismatch",
     "NotMatching",
-    "PrerequisiteNotMatching",
     "ReservedSymbolPresent",
     "OutOfRange",
     "CapExceeded",
@@ -83,10 +82,6 @@ class NotMatching(SwapsensusError):
     def __init__(self, position: int):
         self.position = position
         super().__init__(f"words do not match: forced swap fails at position {position}")
-
-
-class PrerequisiteNotMatching(SwapsensusError):
-    """A three-way analysis was asked about word pairs that do not match."""
 
 
 class ReservedSymbolPresent(SwapsensusError):

@@ -58,6 +58,10 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     budgets = [0] * k
     intervals: list[tuple[int, int]] = []
 
+    # Left of the scan every column agrees, or pairs benignly with its
+    # neighbour, and the symbol multisets agree; so the last column agrees
+    # whenever the scan reaches it, and a dirty column always has a right
+    # neighbour to swap with.
     i = 0  # 0-based column under scan
     while i < n:
         column = {w[i] for w in words}
@@ -66,21 +70,14 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
             continue
 
         # Dirty column: benign if the 2-gram set is exactly {xy, yx}.
-        if i + 1 < n:
-            grams = {(w[i], w[i + 1]) for w in words}
-            if len(grams) == 2:
-                g1, g2 = sorted(grams)
-                if g1 == (g2[1], g2[0]) and g1[0] != g1[1]:
-                    i += 2
-                    continue
+        grams = {(w[i], w[i + 1]) for w in words}
+        if len(grams) == 2:
+            g1, g2 = sorted(grams)
+            if g1 == (g2[1], g2[0]) and g1[0] != g1[1]:
+                i += 2
+                continue
 
-        if i + 1 >= n:
-            return Infeasible(
-                f"words disagree at the last column {i + 1} with no room to swap",
-                column=i + 1,
-            )
-
-        # Tangled interval starting at i0 = i. Seed: strings that cannot swap
+        # Tangled interval starting at i0 = i. Strings that cannot swap
         # (i0, i0+1) pin the match's symbol there.
         i0 = i
         cannot_swap = [
@@ -102,49 +99,22 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
             )
         (forced,) = pinned
 
-        # Strings mismatching the forced symbol must swap (i0, i0+1); the swap
-        # must bring the forced symbol in, and all swappers must agree on what
-        # they push to i0+1 (that symbol becomes forced next).
-        movers = [j for j in range(k) if words[j][i0] != forced]
-        # movers is nonempty: a clean column would not have been dirty.
-        revealed = {words[j][i0] for j in movers}
-        if any(words[j][i0 + 1] != forced for j in movers):
-            bad = next(j for j in movers if words[j][i0 + 1] != forced)
-            return Infeasible(
-                f"column {i0 + 1}: word {bad + 1} cannot bring the forced "
-                f"symbol {forced!r} in by a swap",
-                column=i0 + 1,
-            )
-        if len(revealed) > 1:
-            return Infeasible(
-                f"column {i0 + 1}: swapping words disagree on the symbol "
-                f"pushed to column {i0 + 2} ({sorted(revealed)})",
-                column=i0 + 1,
-            )
-        for j in movers:
-            words[j][i0], words[j][i0 + 1] = words[j][i0 + 1], words[j][i0]
-            budgets[j] += 1
-        (forced,) = revealed  # now the forced symbol at column i0+1
-
-        # Frontier propagation: column p carries a forced symbol; everyone
-        # mismatching it swaps (p, p+1) and the swap reveals column p+1.
-        p = i0 + 1
+        # Frontier propagation: column p carries a forced symbol. Strings
+        # mismatching it must swap (p, p+1); the swap must bring the forced
+        # symbol in, and all swappers must agree on what they push to p+1
+        # (that symbol becomes forced next). Column i0 is dirty, so some
+        # string mismatches there.
+        p = i0
         while True:
             movers = [j for j in range(k) if words[j][p] != forced]
             if not movers:
                 intervals.append((i0 + 1, p + 1))  # 1-based inclusive
                 break
-            if p + 1 >= n:
+            bad = next((j for j in movers if words[j][p + 1] != forced), None)
+            if bad is not None:
                 return Infeasible(
-                    f"column {p + 1}: forced symbol {forced!r} missing in word "
-                    f"{movers[0] + 1} with no room to swap",
-                    column=p + 1,
-                )
-            if any(words[j][p + 1] != forced for j in movers):
-                bad = next(j for j in movers if words[j][p + 1] != forced)
-                return Infeasible(
-                    f"column {p + 1}: word {bad + 1} cannot bring the forced "
-                    f"symbol {forced!r} in by a swap",
+                    f"column {p + 1}: word {bad + 1} "
+                    f"cannot bring the forced symbol {forced!r} in by a swap",
                     column=p + 1,
                 )
             revealed = {words[j][p] for j in movers}
@@ -167,7 +137,8 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     # of their swap strings must be free of "11" (pairwise matching, by the
     # three-way analysis). Each swap string is valid, so an XOR holds "11" at
     # (i, i+1) exactly when one string has a 1 at i and the other a 1 at i+1:
-    # exactly when the union of all their ones holds adjacent positions.
+    # exactly when the union of all their ones holds adjacent positions
+    # (test_swaps::test_union_adjacency_is_pairwise_collision).
     try:
         hs = [swap_string(strings_prime[0], w) for w in strings_prime]
     except NotMatching:

@@ -2,8 +2,9 @@
 
 The budgeted ("mixed") variants give each input word a consumed budget x_s, so
 its effective radius slack is d - x_s; plain consensus is the all-zero-budget
-case. The radius solver is the classic bounded search tree; the radius+sum
-solver is a complete depth-first search over column-restricted words with
+case. The radius solver is the classic bounded search tree, on a search
+routine that the swap+substitution radius tree shares; the radius+sum solver
+is a complete depth-first search over column-restricted words with
 admissible pruning. pad_mixed reduces a budgeted query to a plain one by
 appending per-string binary pads.
 """
@@ -14,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import ne
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     BudgetedInstance,
@@ -88,22 +89,55 @@ def hamming_distance(s: Word, t: Word) -> int:
     return sum(map(ne, s, t))
 
 
-def _rederive(
-    child: Word, words: Sequence[Word], parent: Word, dists: list[int], p: int
-) -> list[int]:
-    """``child``'s Hamming distances to ``words``, from ``parent``'s ``dists``.
+def _radius_search(
+    words: Sequence[Word],
+    root_dists: list[int],
+    step: Callable[[Word, list[int], int], Iterable[tuple[int, Word]] | None],
+    stats: SearchStats,
+) -> Word | None:
+    """Depth-first bounded search tree from ``words[0]``, O(k) work per node.
 
-    The two candidates may differ only at positions p and p + 1, so each
-    word's distance changes by at most one per rewritten column: O(k), not
-    O(kn). ``dists`` is not modified.
+    ``step(cand, dists, depth)`` gets a node's candidate, its Hamming
+    distances to ``words`` and its depth, and returns None for a witness,
+    ``()`` for a pruned node, or (first rewritten position, child) pairs; a
+    child differs from ``cand`` only at that position and the next. The
+    caller computes ``root_dists``; every other node's distances are derived
+    from its parent's, recorded in the slot for its depth just before
+    ``depth_first`` draws it (the walk expands or skips each drawn child
+    before the next draw). Subtrees already exhausted are not searched again,
+    which is sound when ``step`` depends on (cand, depth) alone and only
+    tightens with depth.
     """
-    for q in range(p, min(p + 2, len(child))):
-        old, new = parent[q], child[q]
-        if old != new:
-            dists = [
-                dist + (w[q] == old) - (w[q] == new) for dist, w in zip(dists, words)
-            ]
-    return dists
+    # at[t] = (parent, parent's distances, first rewritten position) of the
+    # child last drawn at depth t.
+    at: dict[int, tuple[Word, list[int], int]] = {}
+
+    def children(cand: Word, dists: list[int], depth: int, moves) -> Iterator[Word]:
+        for p, child in moves:
+            at[depth + 1] = (cand, dists, p)
+            yield child
+
+    def expand(cand: Word, depth: int) -> Iterator[Word] | None:
+        stats.nodes_expanded += 1
+        if depth:
+            parent, dists, p = at[depth]
+            # Each rewritten column moves a word's distance by at most one.
+            for q in range(p, min(p + 2, len(cand))):
+                old, new = parent[q], cand[q]
+                if old != new:
+                    dists = [
+                        dist + (w[q] == old) - (w[q] == new)
+                        for dist, w in zip(dists, words)
+                    ]
+        else:
+            dists = root_dists
+        moves = step(cand, dists, depth)
+        if moves is None:
+            return None
+        return children(cand, dists, depth, moves)
+
+    with Timer(stats):
+        return depth_first(words[0], expand, exhausted={})
 
 
 def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
@@ -135,15 +169,8 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     the remaining depth. The witness is the first found under this canonical
     order (violated word by index, positions left to right). The children
     depend on the candidate alone and the prune only tightens with depth, so
-    a candidate whose subtree was exhausted at depth d0 is not searched again
-    at any depth >= d0; the table lives for this call.
-
-    Distances are computed from scratch at the root only. A child differs
-    from its parent in one column, so its distances are derived from the
-    parent's in O(k): the child generator records (parent, its distances,
-    the rewritten position) in the slot for the child's depth just before
-    it yields, and ``depth_first`` expands (or skips) each drawn child
-    before it draws the next.
+    ``_radius_search`` may skip subtrees it has already exhausted; it also
+    derives each node's distances from its parent's in O(k).
     """
     over = _budgets_over(q.budgeted.budgets, q.d)
     if over is not None:
@@ -152,24 +179,8 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     words = inst.words
     slacks = [q.d - x for x in q.budgeted.budgets]
     stats = SearchStats()
-    # at[t] = (parent, parent's distances, rewritten position) of the child
-    # last drawn at depth t.
-    at: dict[int, tuple[str, list[int], int]] = {}
 
-    def children(cand: str, dists: list[int], depth: int, i: int) -> Iterator[str]:
-        # Copy word i's symbol at each of its first slack + 1 mismatches.
-        w = words[i]
-        mism = compress(range(inst.n), map(ne, cand, w))
-        for p in islice(mism, slacks[i] + 1):
-            at[depth + 1] = (cand, dists, p)
-            yield cand[:p] + w[p] + cand[p + 1 :]
-
-    def expand(cand: str, depth: int) -> Iterable[str] | None:
-        stats.nodes_expanded += 1
-        if depth:
-            dists = _rederive(cand, words, *at[depth])
-        else:
-            dists = [hamming_distance(cand, w) for w in words]
+    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
         remaining = q.d - depth
         violated = -1
         for i, (dist, slack) in enumerate(zip(dists, slacks)):
@@ -182,10 +193,16 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
             return None  # cand is a witness
         if remaining == 0:
             return ()
-        return children(cand, dists, depth, violated)
+        # Copy the word's symbol at each of its first slack + 1 mismatches.
+        w = words[violated]
+        mism = compress(range(inst.n), map(ne, cand, w))
+        return (
+            (p, cand[:p] + w[p] + cand[p + 1 :])
+            for p in islice(mism, slacks[violated] + 1)
+        )
 
-    with Timer(stats):
-        witness = depth_first(words[0], expand, exhausted={})
+    root_dists = [hamming_distance(words[0], w) for w in words]
+    witness = _radius_search(words, root_dists, step, stats)
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within slack of every input at radius {q.d}", stats

@@ -15,16 +15,8 @@ from itertools import compress
 from operator import ne
 from typing import Iterable, Iterator
 
-from .core import (
-    CertificationFailure,
-    ConsensusAnswer,
-    Instance,
-    SearchStats,
-    Timer,
-    Word,
-    depth_first,
-)
-from .hamming import _rederive, hamming_distance
+from .core import CertificationFailure, ConsensusAnswer, Instance, SearchStats, Word
+from .hamming import _radius_search, hamming_distance
 from .sh_metric import sh_cost
 
 __all__ = ["radius_consensus_sh"]
@@ -35,9 +27,10 @@ def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
 
     Each child rewrites one window of the candidate: one symbol taken from
     ``w``, or two adjacent symbols of ``w`` in exchanged order; it comes
-    with the first position of that window. Yielded lazily: the depth-first
-    walk usually succeeds or fails on the first few children, and there can
-    be 3 * hamming(cand, w) of them.
+    with the first position of that window. A swap that would leave the
+    candidate unchanged is not a child. Yielded lazily: the depth-first walk
+    usually succeeds or fails on the first few children, and there can be
+    3 * hamming(cand, w) of them.
     """
     n = len(cand)
     mism = list(compress(range(n), map(ne, cand, w)))
@@ -52,9 +45,9 @@ def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
     for p in mism:
         yield p, cand[:p] + w[p] + cand[p + 1 :]
     for p in mism:
-        if p + 1 < n:
+        if p + 1 < n and (cand[p], cand[p + 1]) != (w[p + 1], w[p]):
             yield p, cand[:p] + w[p + 1] + w[p] + cand[p + 2 :]
-        if p - 1 >= 0:
+        if p - 1 >= 0 and (cand[p - 1], cand[p]) != (w[p], w[p - 1]):
             yield p - 1, cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
 
 
@@ -66,53 +59,34 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     fixed branch order is returned, with all distances recomputed from
     scratch. A node's subtree depends only on its candidate and depth (the
     children on the candidate alone, the prune and the 2d cap only tighten
-    with depth), so a candidate whose subtree was exhausted at depth d0 is
-    not searched again at any depth >= d0; the table lives for this call.
+    with depth), so ``_radius_search`` may skip a candidate whose subtree it
+    has already searched in vain at the same depth or a shallower one; it
+    also derives each node's Hamming distances from its parent's in O(k).
 
-    Hamming distances are computed from scratch at the root only; a child
-    rewrites one or two adjacent positions, so its distances are derived
-    from its parent's in O(k), through the per-depth slot its generator
-    fills just before it yields (``depth_first`` expands or skips each drawn
-    child before it draws the next). The first violating word is found by
-    the distance sandwich sh <= hamming <= 2 * sh: a word within Hamming
-    distance d is within d, one at Hamming distance 2d + 1 or more is not,
-    and ``sh_cost`` decides only the words in between.
+    The first violating word is found by the distance sandwich
+    sh <= hamming <= 2 * sh: a word within Hamming distance d is within d,
+    one at Hamming distance 2d + 1 or more is not, and ``sh_cost`` decides
+    only the words in between.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     words = inst.words
     stats = SearchStats()
-    # at[t] = (parent, parent's distances, first rewritten position) of the
-    # child last drawn at depth t.
-    at: dict[int, tuple[Word, list[int], int]] = {}
 
-    def children(cand: Word, dists: list[int], depth: int, w: Word) -> Iterator[Word]:
-        for p, child in _moves(cand, w, d):
-            if child != cand:
-                at[depth + 1] = (cand, dists, p)
-                yield child
-
-    def expand(cand: Word, depth: int) -> Iterable[Word] | None:
-        stats.nodes_expanded += 1
-        if depth:
-            dists = _rederive(cand, words, *at[depth])
-        else:
-            dists = [hamming_distance(cand, w) for w in words]
+    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
         if max(dists) >= 4 * d - depth + 1:
             return ()
-        violating = None
         for w, ham in zip(words, dists):
             if ham > d and (ham > 2 * d or sh_cost(cand, w) > d):
-                violating = w
                 break
-        if violating is None:
+        else:
             return None  # cand is a witness
         if depth == 2 * d:
             return ()
-        return children(cand, dists, depth, violating)
+        return _moves(cand, w, d)
 
-    with Timer(stats):
-        witness = depth_first(words[0], expand, exhausted={})
+    root_dists = [hamming_distance(words[0], w) for w in words]
+    witness = _radius_search(words, root_dists, step, stats)
     if witness is None:
         return ConsensusAnswer.none(
             f"no word within swap+substitution radius {d} of all inputs", stats

@@ -1,4 +1,4 @@
-"""Swap permutations encoded as binary strings, and the three-way analysis.
+"""Swap permutations encoded as binary strings.
 
 A swap exchanges two adjacent distinct symbols. A set of pairwise disjoint,
 non-adjacent swaps is encoded as a binary string of length n-1 whose bit p
@@ -11,24 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    INF,
-    LengthMismatch,
-    NotMatching,
-    PrerequisiteNotMatching,
-    Word,
-)
+from .core import INF, LengthMismatch, NotMatching, Word
 
 __all__ = [
     "SwapStr",
-    "Matching",
-    "Blocked",
-    "ThreeWayOutcome",
     "swap_string",
     "apply_swaps",
     "swap_distance",
     "xor_compose",
-    "three_way_match",
 ]
 
 
@@ -63,29 +53,6 @@ class SwapStr:
 
     def __str__(self) -> str:
         return self.bits
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Three-way outcome: the outer pair matches, with this swap string."""
-
-    h: SwapStr
-
-
-@dataclass(frozen=True)
-class Blocked:
-    """Three-way outcome: every common match is pinned around position p.
-
-    p is the second of the first adjacent pair of ones in the XOR (1-based,
-    2 <= p <= n-1); any word matching both outer words carries forced_window
-    (the middle word's symbols) at positions p-1..p+1.
-    """
-
-    p: int
-    forced_window: str
-
-
-ThreeWayOutcome = Matching | Blocked
 
 
 def swap_string(s: Word, t: Word) -> SwapStr:
@@ -140,36 +107,11 @@ def swap_distance(s: Word, t: Word) -> float:
 def xor_compose(h1: str | SwapStr, h2: str | SwapStr) -> str:
     """Position-wise XOR of two raw bit sequences.
 
-    Deliberately returns a raw string, not a SwapStr: the interesting case of
-    the three-way analysis is exactly when the result contains "11".
+    Deliberately returns a raw string, not a SwapStr: the composition of two
+    valid swap strings may hold "11", and then it is not a valid one.
     """
     b1 = h1.bits if isinstance(h1, SwapStr) else h1
     b2 = h2.bits if isinstance(h2, SwapStr) else h2
     if len(b1) != len(b2):
         raise LengthMismatch(f"{len(b1)} vs {len(b2)} bits")
     return "".join("1" if x != y else "0" for x, y in zip(b1, b2))
-
-
-def three_way_match(s1: Word, s2: Word, s3: Word) -> ThreeWayOutcome:
-    """Analyze matching of (s1, s3) through a middle word s2.
-
-    Requires s1~s2 and s2~s3 (PrerequisiteNotMatching otherwise). If the XOR
-    of the two swap strings has no adjacent ones it IS the swap string of
-    (s1, s3); otherwise (s1, s3) do not match, and every word matching both is
-    forced to s2's symbols on the 3-window around the collision.
-    """
-    try:
-        h12 = swap_string(s1, s2)
-    except NotMatching as e:
-        raise PrerequisiteNotMatching(f"s1 and s2 do not match ({e})") from e
-    try:
-        h23 = swap_string(s2, s3)
-    except NotMatching as e:
-        raise PrerequisiteNotMatching(f"s2 and s3 do not match ({e})") from e
-    h = xor_compose(h12, h23)
-    j = h.find("11")
-    if j < 0:
-        return Matching(SwapStr(h, len(s1)))
-    # Bits j, j+1 (0-based) are the first adjacent ones; second 1-based index:
-    p = j + 2
-    return Blocked(p=p, forced_window=s2[p - 2 : p + 1])

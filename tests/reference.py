@@ -1,15 +1,23 @@
 """Independent reference implementations used only by tests.
 
-Every function here enumerates a definition directly and shares no logic
+Every enumeration here follows a definition directly and shares no logic
 with the package internals. Test modules compare package results against
 these so that a bug in an optimized routine cannot hide behind itself.
+
+The three-way analysis at the end is the paper's lemma behind
+``disentangle``'s pairwise-matching certification. No program path calls
+it, so it lives here, built on the package's swap strings, and the tests
+check it against the enumerations.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator
+
+from swapsensus import NotMatching, SwapsensusError, SwapStr, swap_string, xor_compose
 
 
 def valid_swap_bitstrings(m: int) -> Iterator[str]:
@@ -95,3 +103,55 @@ def all_words(alphabet: str, n: int) -> Iterator[str]:
     """Every length-n word over the alphabet, in lexicographic order."""
     for tup in itertools.product(sorted(alphabet), repeat=n):
         yield "".join(tup)
+
+
+class PrerequisiteNotMatching(SwapsensusError):
+    """A three-way analysis was asked about word pairs that do not match."""
+
+
+@dataclass(frozen=True)
+class Matching:
+    """Three-way outcome: the outer pair matches, with this swap string."""
+
+    h: SwapStr
+
+
+@dataclass(frozen=True)
+class Blocked:
+    """Three-way outcome: every common match is pinned around position p.
+
+    p is the second of the first adjacent pair of ones in the XOR (1-based,
+    2 <= p <= n-1); any word matching both outer words carries forced_window
+    (the middle word's symbols) at positions p-1..p+1.
+    """
+
+    p: int
+    forced_window: str
+
+
+ThreeWayOutcome = Matching | Blocked
+
+
+def three_way_match(s1: str, s2: str, s3: str) -> ThreeWayOutcome:
+    """Analyze matching of (s1, s3) through a middle word s2.
+
+    Requires s1~s2 and s2~s3 (PrerequisiteNotMatching otherwise). If the XOR
+    of the two swap strings has no adjacent ones it IS the swap string of
+    (s1, s3); otherwise (s1, s3) do not match, and every word matching both is
+    forced to s2's symbols on the 3-window around the collision.
+    """
+    try:
+        h12 = swap_string(s1, s2)
+    except NotMatching as e:
+        raise PrerequisiteNotMatching(f"s1 and s2 do not match ({e})") from e
+    try:
+        h23 = swap_string(s2, s3)
+    except NotMatching as e:
+        raise PrerequisiteNotMatching(f"s2 and s3 do not match ({e})") from e
+    h = xor_compose(h12, h23)
+    j = h.find("11")
+    if j < 0:
+        return Matching(SwapStr(h, len(s1)))
+    # Bits j, j+1 (0-based) are the first adjacent ones; second 1-based index:
+    p = j + 2
+    return Blocked(p=p, forced_window=s2[p - 2 : p + 1])

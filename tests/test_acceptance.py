@@ -17,12 +17,11 @@ from time import perf_counter
 
 import reference as ref
 from conftest import best_of, random_words
+from reference import Blocked, Matching, three_way_match
 from swapsensus import (
     INF,
-    Blocked,
     BudgetedInstance,
     Instance,
-    Matching,
     MixedRadiusQuery,
     MixedRadiusSumQuery,
     OracleQuery,
@@ -48,7 +47,6 @@ from swapsensus import (
     swap_distance,
     swap_set,
     swap_string,
-    three_way_match,
     xor_compose,
 )
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
+import swapsensus
 from swapsensus import (
     INF,
     BudgetedInstance,
@@ -153,6 +156,18 @@ class TestConsensusAnswer:
 class TestMisc:
     def test_inf_constant(self):
         assert math.isinf(INF) and INF > 0
+
+    def test_package_exports_are_the_submodules_exports(self):
+        exported = swapsensus.__all__
+        assert len(exported) == len(set(exported))
+        for name in exported:
+            assert hasattr(swapsensus, name), name
+        submodules = [
+            importlib.import_module(f"swapsensus.{info.name}")
+            for info in pkgutil.iter_modules(swapsensus.__path__)
+        ]
+        union = {name for mod in submodules for name in getattr(mod, "__all__", ())}
+        assert set(exported) - {"__version__"} == union
 
 
 class TestDepthFirst:

