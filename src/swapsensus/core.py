@@ -257,51 +257,24 @@ Node = TypeVar("Node")
 
 
 def depth_first(
-    root: Node,
-    expand: Callable[[Node, int], Iterable[Node] | None],
-    exhausted: dict[Node, int] | None = None,
+    root: Node, expand: Callable[[Node, int], Iterable[Node] | None]
 ) -> Node | None:
     """Preorder depth-first search on an explicit stack, so any depth works.
 
     ``expand(node, depth)`` returns None if ``node`` is the answer, or else an
     iterable of its children, drawn lazily one at a time (a node is never
     None). Returns the answer, or None once the tree is exhausted.
-
-    A drawn child is expanded, or skipped, before the next child is drawn
-    from any iterable: ``expand`` runs on a child right after its parent's
-    iterable yields it. Callers may rely on this order, e.g. to hand a
-    child state its generator recorded just before yielding it.
-
-    ``exhausted``, when given, is a table of subtrees already proved empty:
-    when a node's children run out at depth d, the walk records
-    ``exhausted[node] = d``, and it skips (without calling ``expand``) any
-    node drawn later at a depth >= its entry. This is sound only when a
-    node's subtree depends on (node, depth) alone and can only shrink as the
-    depth grows. A node is recorded when it is left, never when it is
-    entered, so an ancestor still on the stack is expanded again where it
-    recurs, and the first answer in preorder is the one the plain walk finds.
     """
     stack = [iter((root,))]
-    # path[i] is the node at depth i whose children stack[i + 1] draws from.
-    path: list[Node] = []
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
-            if path:
-                left = path.pop()
-                if exhausted is not None:
-                    # No min(): a node is only expanded shallower than its entry.
-                    exhausted[left] = len(path)
             continue
-        depth = len(stack) - 1
-        if exhausted is not None and exhausted.get(node, depth + 1) <= depth:
-            continue
-        children = expand(node, depth)
+        children = expand(node, len(stack) - 1)
         if children is None:
             return node
         stack.append(iter(children))
-        path.append(node)
     return None
 
 

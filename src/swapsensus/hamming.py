@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     BudgetedInstance,
+    CertificationFailure,
     ConsensusAnswer,
     Instance,
     LengthMismatch,
@@ -82,6 +83,21 @@ def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str
     return None
 
 
+def _certify(
+    dists: tuple[float, ...], slacks: list[int], sum_budget: int | None = None
+) -> None:
+    """Check a witness's recomputed distances against its slacks and sum budget."""
+    for i, (dist, slack) in enumerate(zip(dists, slacks)):
+        if dist > slack:
+            raise CertificationFailure(
+                f"word {i + 1}: recomputed distance {int(dist)} > slack {slack}"
+            )
+    if sum_budget is not None and sum(dists) > sum_budget:
+        raise CertificationFailure(
+            f"recomputed distance sum {int(sum(dists))} > {sum_budget}"
+        )
+
+
 def hamming_distance(s: Word, t: Word) -> int:
     """Number of mismatching positions."""
     if len(s) != len(t):
@@ -100,44 +116,49 @@ def _radius_search(
     ``step(cand, dists, depth)`` gets a node's candidate, its Hamming
     distances to ``words`` and its depth, and returns None for a witness,
     ``()`` for a pruned node, or (first rewritten position, child) pairs; a
-    child differs from ``cand`` only at that position and the next. The
-    caller computes ``root_dists``; every other node's distances are derived
-    from its parent's, recorded in the slot for its depth just before
-    ``depth_first`` draws it (the walk expands or skips each drawn child
-    before the next draw). Subtrees already exhausted are not searched again,
-    which is sound when ``step`` depends on (cand, depth) alone and only
-    tightens with depth.
+    child differs from ``cand`` only at that position and the next. A node
+    is a (candidate, distances) pair: the caller computes ``root_dists``, and
+    every child's distances are derived from its parent's. Returns the
+    candidate of the first witness in preorder, or None.
+
+    Subtrees already searched in vain are not searched again, which is sound
+    when ``step`` depends on (cand, depth) alone and only tightens with
+    depth. Once a node's moves run out at depth t, ``exhausted[cand] = t``;
+    a child drawn at a depth >= its entry is skipped before its distances
+    are derived. A node is recorded when it is left, never when it is
+    entered, so an ancestor still being searched is expanded again where it
+    recurs, and the answer is the one the plain walk finds.
     """
-    # at[t] = (parent, parent's distances, first rewritten position) of the
-    # child last drawn at depth t.
-    at: dict[int, tuple[Word, list[int], int]] = {}
+    exhausted: dict[Word, int] = {}
 
-    def children(cand: Word, dists: list[int], depth: int, moves) -> Iterator[Word]:
+    def children(cand: Word, dists: list[int], depth: int, moves) -> Iterator[tuple]:
         for p, child in moves:
-            at[depth + 1] = (cand, dists, p)
-            yield child
-
-    def expand(cand: Word, depth: int) -> Iterator[Word] | None:
-        stats.nodes_expanded += 1
-        if depth:
-            parent, dists, p = at[depth]
+            if exhausted.get(child, depth + 2) <= depth + 1:
+                continue
+            child_dists = dists
             # Each rewritten column moves a word's distance by at most one.
             for q in range(p, min(p + 2, len(cand))):
-                old, new = parent[q], cand[q]
+                old, new = cand[q], child[q]
                 if old != new:
-                    dists = [
+                    child_dists = [
                         dist + (w[q] == old) - (w[q] == new)
-                        for dist, w in zip(dists, words)
+                        for dist, w in zip(child_dists, words)
                     ]
-        else:
-            dists = root_dists
+            yield child, child_dists
+        # No min(): a node is only expanded shallower than its entry.
+        exhausted[cand] = depth
+
+    def expand(node: tuple[Word, list[int]], depth: int) -> Iterator[tuple] | None:
+        cand, dists = node
+        stats.nodes_expanded += 1
         moves = step(cand, dists, depth)
         if moves is None:
             return None
         return children(cand, dists, depth, moves)
 
     with Timer(stats):
-        return depth_first(words[0], expand, exhausted={})
+        found = depth_first((words[0], root_dists), expand)
+    return None if found is None else found[0]
 
 
 def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
@@ -170,7 +191,8 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     order (violated word by index, positions left to right). The children
     depend on the candidate alone and the prune only tightens with depth, so
     ``_radius_search`` may skip subtrees it has already exhausted; it also
-    derives each node's distances from its parent's in O(k).
+    derives each node's distances from its parent's in O(k). The witness's
+    distances are recomputed from scratch and checked against the slacks.
     """
     over = _budgets_over(q.budgeted.budgets, q.d)
     if over is not None:
@@ -208,6 +230,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
             f"no word within slack of every input at radius {q.d}", stats
         )
     dists = tuple(float(hamming_distance(w, witness)) for w in words)
+    _certify(dists, slacks)
     return ConsensusAnswer.found(witness, dists, stats)
 
 
@@ -228,7 +251,8 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
       the best sum found so far (a tie can never beat an earlier, lex-smaller
       witness).
 
-    Returns the minimum-sum witness, lex-min among optima.
+    Returns the minimum-sum witness, lex-min among optima; its distances are
+    recomputed from scratch and checked against the slacks and the sum budget.
     """
     over = _budgets_over(q.budgeted.budgets, q.d, q.D)
     if over is not None:
@@ -284,6 +308,7 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         )
     witness = best[1]
     dists = tuple(float(hamming_distance(w, witness)) for w in words)
+    _certify(dists, slacks, sum_budget)
     return ConsensusAnswer.found(witness, dists, stats)
 
 

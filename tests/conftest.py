@@ -6,7 +6,14 @@ import math
 import random
 from time import perf_counter
 
-from swapsensus import Instance
+from swapsensus import Instance, SearchStats
+from swapsensus.core import depth_first
+from swapsensus.hamming import _radius_search
+
+# Children by one-letter node. Expansion stops at depth 3, so a node's
+# subtree depends on (node, depth) alone and shrinks as the depth grows. "n"
+# is its own child, and is reached again under "c" and directly from "r".
+GRAPH = {"r": "abn", "a": "n", "b": "c", "c": "n", "n": "n"}
 
 
 def random_words(
@@ -53,3 +60,29 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, logged)
     return log
+
+
+def plain_graph_walk(answer=None) -> tuple[str | None, list[tuple]]:
+    """Walk GRAPH from "r" with ``depth_first``; returns (found, expand log)."""
+    calls: list[tuple] = []
+
+    def expand(node, depth):
+        calls.append((node, depth))
+        if node == answer:
+            return None
+        return GRAPH[node] if depth < 3 else ()
+
+    return depth_first("r", expand), calls
+
+
+def radius_graph_search(answer=None) -> tuple[str | None, list[tuple]]:
+    """Search GRAPH from "r" with ``_radius_search``; returns (found, step log)."""
+    calls: list[tuple] = []
+
+    def step(cand, dists, depth):
+        calls.append((cand, depth))
+        if cand == answer:
+            return None
+        return [(0, c) for c in GRAPH[cand]] if depth < 3 else ()
+
+    return _radius_search(("r",), [0], step, SearchStats()), calls

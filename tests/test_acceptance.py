@@ -34,16 +34,14 @@ from swapsensus import (
     disentangle,
     dollar_pad,
     gen_planted,
+    hamming_distance,
     pad_mixed,
     radius_consensus_ham_mixed,
     radius_consensus_sh,
     radius_consensus_swap,
-    rs_consensus_ham_mixed,
-    rs_consensus_swap,
     sh_cost,
-    sum_consensus_ham,
+    solve,
     sum_consensus_sh,
-    sum_consensus_swap,
     swap_distance,
     swap_set,
     swap_string,
@@ -205,80 +203,65 @@ def test_04_distance_anchors():
     assert composed == "0011"
 
 
+# Every (metric, objective) pair that ``solve`` answers, with the distance
+# that certifies its witness.
+SWEEP_PAIRS = (
+    ("swap", "sum", swap_distance),
+    ("swap", "radius", swap_distance),
+    ("swap", "radius-sum", swap_distance),
+    ("swap-hamming", "sum", sh_cost),
+    ("swap-hamming", "radius", sh_cost),
+    ("hamming", "sum", hamming_distance),
+    ("hamming", "radius", hamming_distance),
+    ("hamming", "radius-sum", hamming_distance),
+)
+
+
 def test_05_solvers_agree_with_brute_force():
     rng = random.Random(SWEEP_SEED)
     start = perf_counter()
     for trial in range(1000):
         inst = Instance(random_words(rng))
         d, big_d, r_budgets, rs_budgets = draw_query_params(rng, inst.k)
-        ctx = (trial, inst.words, d, big_d)
+        # objective -> (bounds, the oracle's objective, Hamming budgets)
+        queries = {
+            "sum": ((), Sum(), None),
+            "radius": ((d,), Radius(d), r_budgets),
+            "radius-sum": ((d, big_d), RadiusSum(d, big_d), rs_budgets),
+        }
+        feasible = {}
+        for metric, objective, dist in SWEEP_PAIRS:
+            bounds, target, budgets = queries[objective]
+            if metric != "hamming":
+                budgets = None
+            ctx = (trial, inst.words, metric, objective, d, big_d, budgets)
+            got, _ = solve(metric, objective, inst, *bounds, budgets=budgets)
+            want = brute_force(OracleQuery(inst, metric, target, budgets))
+            assert got.feasible == want.feasible, ctx
+            feasible[metric, objective] = got.feasible
+            if not got.feasible:
+                continue
+            # Hamming answers include the budgets, as the oracle's do.
+            dists = [
+                x + dist(w, got.solution)
+                for w, x in zip(inst.words, budgets or (0,) * inst.k)
+            ]
+            assert list(got.per_string_distances) == dists, ctx
+            if objective != "sum":
+                assert max(dists) <= d, ctx
+            if objective != "radius":
+                assert got.sum_distance == want.sum_distance, ctx
 
-        got, _ = sum_consensus_swap(inst)
-        want = brute_force(OracleQuery(inst, "swap", Sum()))
-        assert got.feasible == want.feasible, ctx
-        if got.feasible:
-            assert got.sum_distance == want.sum_distance, ctx
-
-        got, _ = radius_consensus_swap(inst, d)
-        want = brute_force(OracleQuery(inst, "swap", Radius(d)))
-        assert got.feasible == want.feasible, ctx
-        if got.feasible:
-            assert max(swap_distance(w, got.solution) for w in inst.words) <= d, ctx
-
-        got, _ = rs_consensus_swap(inst, d, big_d)
-        want = brute_force(OracleQuery(inst, "swap", RadiusSum(d, big_d)))
-        assert got.feasible == want.feasible, ctx
-        if got.feasible:
-            assert got.sum_distance == want.sum_distance, ctx
-
-        got, _ = sum_consensus_sh(inst)
-        want = brute_force(OracleQuery(inst, "swap-hamming", Sum()))
-        assert got.feasible and want.feasible, ctx
-        assert got.sum_distance == want.sum_distance, ctx
-
-        got = radius_consensus_sh(inst, d)
-        want = brute_force(OracleQuery(inst, "swap-hamming", Radius(d)))
-        assert got.feasible == want.feasible, ctx
-        if got.feasible:
-            assert max(sh_cost(w, got.solution) for w in inst.words) <= d, ctx
-
-        got = sum_consensus_ham(inst)
-        want = brute_force(OracleQuery(inst, "hamming", Sum()))
-        assert got.feasible and want.feasible, ctx
-        assert got.sum_distance == want.sum_distance, ctx
-
-        rq = MixedRadiusQuery(BudgetedInstance(inst, r_budgets), d)
-        got = radius_consensus_ham_mixed(rq)
-        want = brute_force(
-            OracleQuery(inst, "hamming", Radius(d), budgets=r_budgets)
+        padded, pad_d = pad_mixed(
+            MixedRadiusQuery(BudgetedInstance(inst, r_budgets), d)
         )
-        assert got.feasible == want.feasible, (*ctx, r_budgets)
-        padded, pad_d = pad_mixed(rq)
-        plain = radius_consensus_ham_mixed(
-            MixedRadiusQuery(BudgetedInstance(padded, (0,) * padded.k), pad_d)
+        plain, _ = solve("hamming", "radius", padded, pad_d)
+        assert plain.feasible == feasible["hamming", "radius"], (trial, r_budgets)
+        padded, pad_d, pad_sum = pad_mixed(
+            MixedRadiusSumQuery(BudgetedInstance(inst, rs_budgets), d, big_d)
         )
-        assert plain.feasible == got.feasible, (*ctx, r_budgets)
-
-        sq = MixedRadiusSumQuery(BudgetedInstance(inst, rs_budgets), d, big_d)
-        got = rs_consensus_ham_mixed(sq)
-        want = brute_force(
-            OracleQuery(inst, "hamming", RadiusSum(d, big_d), budgets=rs_budgets)
-        )
-        assert got.feasible == want.feasible, (*ctx, rs_budgets)
-        if got.feasible:
-            # The budgeted solver reports raw distances; the oracle folds the
-            # consumed budgets into its totals.
-            assert got.sum_distance + sum(rs_budgets) == want.sum_distance, (
-                *ctx,
-                rs_budgets,
-            )
-        padded, pad_d, pad_sum = pad_mixed(sq)
-        plain = rs_consensus_ham_mixed(
-            MixedRadiusSumQuery(
-                BudgetedInstance(padded, (0,) * padded.k), pad_d, pad_sum
-            )
-        )
-        assert plain.feasible == got.feasible, (*ctx, rs_budgets)
+        plain, _ = solve("hamming", "radius-sum", padded, pad_d, pad_sum)
+        assert plain.feasible == feasible["hamming", "radius-sum"], (trial, rs_budgets)
     elapsed = perf_counter() - start
     assert elapsed < 300.0, f"sweep took {elapsed:.0f}s, bound is 300s"
 
@@ -364,10 +347,8 @@ def test_08_padding_equivalence():
         inst = Instance(random_words(rng))
         d, _, _, _ = draw_query_params(rng, inst.k)
         padded = dollar_pad(inst)
-        via_pad = radius_consensus_sh(padded, d)
-        plain = radius_consensus_ham_mixed(
-            MixedRadiusQuery(BudgetedInstance(inst, (0,) * inst.k), d)
-        )
+        via_pad, _ = solve("swap-hamming", "radius", padded, d)
+        plain, _ = solve("hamming", "radius", inst, d)
         assert via_pad.feasible == plain.feasible, (trial, inst.words, d)
         feasible_seen += via_pad.feasible
     assert 0 < feasible_seen < 1000

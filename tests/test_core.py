@@ -9,6 +9,7 @@ import pkgutil
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import GRAPH, plain_graph_walk, radius_graph_search
 import swapsensus
 from swapsensus import (
     INF,
@@ -23,7 +24,6 @@ from swapsensus import (
     format_instance,
     parse_instance,
 )
-from swapsensus.core import depth_first
 
 
 @st.composite
@@ -171,67 +171,9 @@ class TestMisc:
 
 
 class TestDepthFirst:
-    # Children by node. Expansion stops at depth 3, so a node's subtree
-    # depends on (node, depth) alone and shrinks as the depth grows. "n" is
-    # its own child, and is reached again under "c" and directly from "r".
-    GRAPH = {"r": "abn", "a": "n", "b": "c", "c": "n", "n": "n"}
-
-    def walk(self, exhausted, answer=None):
-        calls = []
-
-        def expand(node, depth):
-            calls.append((node, depth))
-            if node == answer:
-                return None
-            return self.GRAPH[node] if depth < 3 else ()
-
-        return depth_first("r", expand, exhausted), calls
-
-    def test_exhausted_subtrees_are_not_searched_again(self):
-        table = {}
-        found, calls = self.walk(table)
-        assert found is None
-        assert calls == [
-            ("r", 0),
-            ("a", 1),
-            ("n", 2),
-            ("n", 3),  # n at depth 2 is still on the stack: expanded again
-            ("b", 1),
-            ("c", 2),
-            # n at depth 3 under c: exhausted at depth 2, skipped
-            ("n", 1),  # shallower than its entry: expanded
-            # its child n at depth 2: exhausted at depth 2, skipped
-        ]
-        assert table == {"r": 0, "a": 1, "b": 1, "c": 2, "n": 1}
-        _, plain = self.walk(None)
-        assert plain == calls[:6] + [("n", 3), ("n", 1), ("n", 2), ("n", 3)]
-
-    def test_each_drawn_child_is_expanded_or_skipped_before_the_next_draw(self):
-        for exhausted in (None, {}):
-            events = []
-
-            def children(node):
-                for child in self.GRAPH[node]:
-                    events.append(("draw", child))
-                    yield child
-
-            def expand(node, depth):
-                events.append(("expand", node))
-                return children(node) if depth < 3 else ()
-
-            depth_first("r", expand, exhausted)
-            assert events[0] == ("expand", "r")
-            skipped = 0
-            for before, event in zip(events, events[1:] + [("end",)]):
-                if event[0] == "expand":
-                    # A child is expanded right after it is drawn.
-                    assert before == ("draw", event[1])
-                elif before[0] == "draw":
-                    # A skipped child: the next event is a draw or the end.
-                    skipped += 1
-            # The exhausted walk skips n twice (see the test above).
-            assert skipped == (0 if exhausted is None else 2)
-
     def test_answer_is_the_plain_walks(self):
-        for answer in [None, *self.GRAPH]:
-            assert self.walk({}, answer)[0] == self.walk(None, answer)[0] == answer
+        # The radius search skips subtrees it has exhausted, yet it finds the
+        # answer the plain walk finds.
+        for answer in [None, *GRAPH]:
+            found = radius_graph_search(answer)[0]
+            assert found == plain_graph_walk(answer)[0] == answer

@@ -95,30 +95,6 @@ class TestKnownInstances:
 
 
 class TestInfeasibleInstances:
-    def test_no_common_match(self):
-        out = disentangle(Instance(("ababc", "abbca", "abacb")))
-        assert isinstance(out, Infeasible)
-        assert out.column == 3
-        assert common_matches(("ababc", "abbca", "abacb")) == set()
-
-    def test_multiset_precheck(self):
-        out = disentangle(Instance(("ab", "aa")))
-        assert isinstance(out, Infeasible)
-        assert out.column is None
-        assert "multiset" in out.reason
-
-    def test_all_words_could_swap(self):
-        out = disentangle(Instance(("abc", "bca", "cab")))
-        assert isinstance(out, Infeasible)
-        assert out.column == 1
-        assert common_matches(("abc", "bca", "cab")) == set()
-
-    def test_pinned_symbols_disagree(self):
-        out = disentangle(Instance(("bca", "acb")))
-        assert isinstance(out, Infeasible)
-        assert out.column == 1
-        assert common_matches(("bca", "acb")) == set()
-
     @pytest.mark.parametrize(
         "words,reason,column",
         [
@@ -162,6 +138,17 @@ class TestInfeasibleInstances:
                 "column 2: swapping words disagree on the symbol pushed to "
                 "column 3 (['a', 'c'])",
                 2,
+            ),
+            # The frontier rules again, with three words and at a later column.
+            (
+                ("abc", "bca", "cab"),
+                "column 1: every word could swap, no symbol is pinned",
+                1,
+            ),
+            (
+                ("ababc", "abbca", "abacb"),
+                "column 3: words that cannot swap disagree (['a', 'b'])",
+                3,
             ),
         ],
     )

@@ -7,10 +7,16 @@ import random
 import pytest
 
 import reference as ref
-from conftest import count_calls, random_instance
+from conftest import (
+    count_calls,
+    plain_graph_walk,
+    radius_graph_search,
+    random_instance,
+)
 from swapsensus import (
     hamming,
     BudgetedInstance,
+    CertificationFailure,
     Instance,
     LengthMismatch,
     MixedRadiusQuery,
@@ -331,6 +337,40 @@ class TestPadMixed:
             )
             assert mixed.feasible == plain.feasible, (inst.words, budgets, d, big_d)
             trials += 1
+
+
+class TestRadiusSearch:
+    def test_exhausted_subtrees_are_not_searched_again(self):
+        found, calls = radius_graph_search()
+        assert found is None
+        assert calls == [
+            ("r", 0),
+            ("a", 1),
+            ("n", 2),
+            ("n", 3),  # n at depth 2 is still being searched: expanded again
+            ("b", 1),
+            ("c", 2),
+            # n at depth 3 under c: exhausted at depth 2, skipped
+            ("n", 1),  # shallower than its entry: expanded
+            # its child n at depth 2: exhausted at depth 2, skipped
+        ]
+        _, plain = plain_graph_walk()
+        assert plain == calls[:6] + [("n", 3), ("n", 1), ("n", 2), ("n", 3)]
+
+
+class TestCertification:
+    def test_radius_witness_beyond_a_slack(self, monkeypatch):
+        monkeypatch.setattr(hamming, "_radius_search", lambda *args: "bb")
+        q = MixedRadiusQuery(BudgetedInstance(Instance(("aa", "ab")), (0, 1)), 1)
+        with pytest.raises(CertificationFailure, match="word 1: .* 2 > slack 1"):
+            radius_consensus_ham_mixed(q)
+
+    def test_radius_sum_witness_beyond_the_sum_budget(self, monkeypatch):
+        # The search scores columns itself; hamming_distance only certifies.
+        monkeypatch.setattr(hamming, "hamming_distance", lambda s, t: 1)
+        q = MixedRadiusSumQuery(BudgetedInstance(Instance(("ab", "ab")), (0, 0)), 1, 1)
+        with pytest.raises(CertificationFailure, match="recomputed distance sum 2 > 1"):
+            rs_consensus_ham_mixed(q)
 
 
 class TestDeepSearches:

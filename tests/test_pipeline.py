@@ -10,15 +10,20 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 import reference as ref
 from conftest import random_words
 from swapsensus import (
     INF,
+    CertificationFailure,
     Instance,
     SwapPipelineTrace,
     apply_swaps,
+    pipeline,
     radius_consensus_swap,
     rs_consensus_swap,
+    sum_consensus_ham,
     sum_consensus_swap,
     swap_distance,
     swap_string,
@@ -256,3 +261,18 @@ def test_elapsed_covers_early_exits():
     ):
         assert ans.reason == "word 2 needs 2 necessary swaps > d=1"
         assert ans.stats.elapsed > 0
+
+
+class TestCertification:
+    def test_distances_must_be_budget_plus_encoded_hamming(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "swap_distance", lambda s, t: 5)
+        with pytest.raises(CertificationFailure, match="word 1: recomputed swap"):
+            sum_consensus_swap(Instance(("ab", "ba")))
+
+    def test_witness_must_meet_the_bounds(self):
+        # A bit solver that ignores d returns the sum optimum "ab", which is
+        # one swap from "ba": beyond radius 0.
+        with pytest.raises(CertificationFailure, match="violates bounds: max 1"):
+            pipeline._solve(
+                Instance(("ab", "ba")), 0, None, lambda b: sum_consensus_ham(b.instance)
+            )

@@ -9,7 +9,14 @@ import pytest
 
 import reference as ref
 from conftest import count_calls, random_words
-from swapsensus import Instance, dollar_pad, radius_consensus_sh, sh_cost, sh_radius
+from swapsensus import (
+    CertificationFailure,
+    Instance,
+    dollar_pad,
+    radius_consensus_sh,
+    sh_cost,
+    sh_radius,
+)
 
 
 def ref_feasible(inst: Instance, d: int) -> bool:
@@ -66,6 +73,11 @@ class TestKnownInstances:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             radius_consensus_sh(Instance(("ab",)), -1)
+
+    def test_witness_beyond_the_radius_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sh_radius, "_radius_search", lambda *args: "ba")
+        with pytest.raises(CertificationFailure, match="exceeds the radius: 1 > 0"):
+            radius_consensus_sh(Instance(("ab", "ab")), 0)
 
 
 class TestAgainstEnumeration:

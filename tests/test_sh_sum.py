@@ -11,11 +11,13 @@ import pytest
 import reference as ref
 from conftest import best_of, random_words
 from swapsensus import (
+    CertificationFailure,
     DPState,
     Instance,
     OutOfRange,
     gen_planted,
     sh_cost,
+    sh_sum,
     sum_consensus_sh,
     swap_set,
 )
@@ -161,6 +163,12 @@ class TestDecisionBound:
         assert not ans.feasible
         assert ans.reason == "minimum distance sum is 4 > 3"
         assert len(table) == 12, "the settled table is still reported"
+
+
+def test_table_cost_is_certified(monkeypatch):
+    monkeypatch.setattr(sh_sum, "sh_cost", lambda s, t: sh_cost(s, t) + 1)
+    with pytest.raises(CertificationFailure, match="table cost 4 != recomputed sum 7"):
+        sum_consensus_sh(Instance(WORDS))
 
 
 class TestSmallTables:
