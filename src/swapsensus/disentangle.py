@@ -8,10 +8,16 @@ must take a swap there; those swaps are necessary (common to every match) and
 are the only ones applied. The result is a set of pairwise-matching words plus
 per-string budgets of consumed swaps.
 
+The scan reads the input's columns directly: a column it reaches has not
+been touched by any swap, because an interval's swaps stay inside the
+interval and the scan resumes after it.
+
 Infeasibility (no common match exists) is detected in layers: a symbol
 multiset precheck, per-step legality checks inside intervals, and a final
 O(kn) pairwise-matching certification as the safety net: the results' swap
-strings against the first result have no adjacent ones in their union.
+strings against the first result have no adjacent ones in their union, a
+bitwise OR of the strings. Those certified swap strings are the encoding the
+swap pipeline solves on.
 """
 
 from __future__ import annotations
@@ -20,19 +26,24 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import Instance, NotMatching, Word
-from .swaps import swap_string
+from .swaps import SwapStr, swap_string
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
 
 @dataclass(frozen=True)
 class Disentanglement:
-    """Pairwise-matching words, per-string swap budgets, and where they came from."""
+    """Pairwise-matching words, per-string swap budgets, and where they came from.
+
+    ``encoded`` holds each result's swap string against the first result, as
+    certified by the safety net.
+    """
 
     strings_prime: tuple[Word, ...]
     budgets: tuple[int, ...]
     total: int
     tangled_intervals: tuple[tuple[int, int], ...]  # 1-based inclusive
+    encoded: tuple[SwapStr, ...]
 
 
 @dataclass(frozen=True)
@@ -45,32 +56,39 @@ class Infeasible:
 
 def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     """Construct the disentanglement, or certify that no common match exists."""
-    words = [list(w) for w in inst.words]
     k, n = inst.k, inst.n
 
-    sig0 = Counter(inst.words[0])
+    # Words have equal length, so equal counts of word 1's symbols mean
+    # equal symbol multisets.
+    sig0 = Counter(inst.words[0]).items()
     for j in range(1, k):
-        if Counter(inst.words[j]) != sig0:
+        w = inst.words[j]
+        if any(w.count(b) != c for b, c in sig0):
             return Infeasible(
                 f"word {j + 1} has a different symbol multiset than word 1"
             )
 
+    words = [list(w) for w in inst.words]
+    cols = list(map("".join, zip(*inst.words)))
     budgets = [0] * k
     intervals: list[tuple[int, int]] = []
 
     # Left of the scan every column agrees, or pairs benignly with its
     # neighbour, and the symbol multisets agree; so the last column agrees
     # whenever the scan reaches it, and a dirty column always has a right
-    # neighbour to swap with.
+    # neighbour to swap with. The scan reads the input's columns: a tangled
+    # interval's swaps stay inside it and the scan resumes after it, so no
+    # swap has touched the column under scan or its right neighbour yet.
+    # Inside an interval, the frontier reads the swapped words instead.
     i = 0  # 0-based column under scan
     while i < n:
-        column = {w[i] for w in words}
-        if len(column) == 1:
+        if cols[i].count(cols[i][0]) == k:
             i += 1
             continue
+        column = set(cols[i])
 
         # Dirty column: benign if the 2-gram set is exactly {xy, yx}.
-        grams = {(w[i], w[i + 1]) for w in words}
+        grams = set(zip(cols[i], cols[i + 1]))
         if len(grams) == 2:
             g1, g2 = sorted(grams)
             if g1 == (g2[1], g2[0]) and g1[0] != g1[1]:
@@ -138,13 +156,16 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     # three-way analysis). Each swap string is valid, so an XOR holds "11" at
     # (i, i+1) exactly when one string has a 1 at i and the other a 1 at i+1:
     # exactly when the union of all their ones holds adjacent positions
-    # (test_swaps::test_union_adjacency_is_pairwise_collision).
+    # (test_swaps::test_union_adjacency_is_pairwise_collision). The union is
+    # the bitwise OR of the strings read as binary numbers.
     try:
-        hs = [swap_string(strings_prime[0], w) for w in strings_prime]
+        hs = tuple(swap_string(strings_prime[0], w) for w in strings_prime)
     except NotMatching:
         return Infeasible("certification failed: results do not pairwise match")
-    ones = {p for h in hs for p in h.ones()}
-    if any(p + 1 in ones for p in ones):
+    union = 0
+    for h in hs:
+        union |= int(h.bits or "0", 2)
+    if union & union >> 1:
         return Infeasible("certification failed: results do not pairwise match")
 
     return Disentanglement(
@@ -152,4 +173,5 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
         budgets=tuple(budgets),
         total=sum(budgets),
         tangled_intervals=tuple(intervals),
+        encoded=hs,
     )

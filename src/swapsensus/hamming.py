@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -265,11 +265,10 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     stats = SearchStats()
 
     columns = [inst.column(p) for p in range(n)]
-    # suffix_min[p] = unavoidable mismatch count on positions p..n-1.
-    suffix_min = [0] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        col_min = min(sum(w[p] != b for w in words) for b in columns[p])
-        suffix_min[p] = suffix_min[p + 1] + col_min
+    # suffix_min[p] = unavoidable mismatch count on positions p..n-1: a
+    # column's most frequent symbol mismatches the fewest words.
+    col_min = [k - max(Counter(col).values()) for col in zip(*words)]
+    suffix_min = list(accumulate(reversed(col_min), initial=0))[::-1]
 
     # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.
     sum_cap = min(sum_budget, sum(slacks))

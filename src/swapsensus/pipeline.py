@@ -6,8 +6,10 @@ necessary swaps; ``disentangle`` certifies the pairwise matching, which makes
 every bit string whose ones lie in the union of the encodings' ones a valid
 swap string. Prechecks on those budgets end hopeless radius and radius-sum
 queries early. (2) Encode each word as its swap string against the first
-disentangled word; budget additivity makes swap distances to any common
-match equal to the budget plus the Hamming distance between encodings.
+disentangled word: these are the strings ``disentangle`` computed and
+certified, so no stage encodes again. Budget additivity makes swap distances
+to any common match equal to the budget plus the Hamming distance between
+encodings.
 (3) Solve the corresponding budgeted Hamming problem on the encodings; the
 objective's solver is the only stage that differs. Each Hamming solver only
 returns symbols that occur in its input column, so the chosen ones stay in
@@ -40,7 +42,7 @@ from .hamming import (
     rs_consensus_ham_mixed,
     sum_consensus_ham,
 )
-from .swaps import SwapStr, apply_swaps, swap_distance, swap_string, xor_compose
+from .swaps import SwapStr, apply_swaps, swap_distance, xor_compose
 
 __all__ = [
     "SwapPipelineTrace",
@@ -120,8 +122,7 @@ def _stages(
             None,
         )
 
-    base = dz.strings_prime[0]
-    encoded = tuple(swap_string(base, w) for w in dz.strings_prime)
+    base, encoded = dz.strings_prime[0], dz.encoded
     if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
         stats, bits = SearchStats(), ""
     else:

@@ -4,12 +4,15 @@ A swap exchanges two adjacent distinct symbols. A set of pairwise disjoint,
 non-adjacent swaps is encoded as a binary string of length n-1 whose bit p
 (1-based) marks a swap of positions (p, p+1); validity means no two adjacent
 ones. Between matching words this encoding is unique and is found by one
-left-to-right pass: the first mismatching position forces a swap there.
+left-to-right pass over the mismatching positions only: the first one forces
+a swap there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .core import INF, LengthMismatch, NotMatching, Word
 
@@ -20,6 +23,9 @@ __all__ = [
     "swap_distance",
     "xor_compose",
 ]
+
+# False/True, as bytes 0/1, to the characters "0"/"1".
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class SwapStr:
             raise LengthMismatch(
                 f"{len(self.bits)} bits for home length {self.home_length}"
             )
-        if set(self.bits) - {"0", "1"}:
+        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
             raise ValueError(f"non-binary swap string {self.bits!r}")
         if "11" in self.bits:
             raise ValueError(f"adjacent swaps in {self.bits!r}")
@@ -65,20 +71,20 @@ def swap_string(s: Word, t: Word) -> SwapStr:
     n = len(s)
     if len(t) != n:
         raise LengthMismatch(f"|s|={n} vs |t|={len(t)}")
-    bits = ["0"] * (n - 1)
-    i = 0
-    while i < n:
-        if s[i] == t[i]:
-            i += 1
+    bits = bytearray(b"0") * (n - 1)
+    taken = -1  # right end of the last swap, already accounted for
+    for i in compress(range(n), map(ne, s, t)):
+        if i == taken:
             continue
         # First unmatched symbol: the swap (i, i+1) is forced.
         if i + 1 < n and s[i] == t[i + 1] and s[i + 1] == t[i]:
-            # Symbols are distinct automatically: s[i+1] == t[i] != s[i].
-            bits[i] = "1"
-            i += 2
+            # Symbols are distinct automatically: s[i+1] == t[i] != s[i], so
+            # position i+1 mismatches too and is the next one drawn.
+            bits[i] = ord("1")
+            taken = i + 1
             continue
         raise NotMatching(i + 1)
-    return SwapStr("".join(bits), n)
+    return SwapStr(bits.decode(), n)
 
 
 def apply_swaps(s: Word, h: SwapStr) -> Word:
@@ -114,4 +120,4 @@ def xor_compose(h1: str | SwapStr, h2: str | SwapStr) -> str:
     b2 = h2.bits if isinstance(h2, SwapStr) else h2
     if len(b1) != len(b2):
         raise LengthMismatch(f"{len(b1)} vs {len(b2)} bits")
-    return "".join("1" if x != y else "0" for x, y in zip(b1, b2))
+    return bytes(map(ne, b1, b2)).translate(_BIT_CHARS).decode()

@@ -4,6 +4,10 @@ Every enumeration here follows a definition directly and shares no logic
 with the package internals. Test modules compare package results against
 these so that a bug in an optimized routine cannot hide behind itself.
 
+``scan_swap_string`` is the package's former swap-string pass, which reads
+every position; the package now visits only the mismatching ones, and the
+tests hold the two to the same answers and the same failure positions.
+
 The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
 it, so it lives here, built on the package's swap strings, and the tests
@@ -17,7 +21,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from swapsensus import NotMatching, SwapsensusError, SwapStr, swap_string, xor_compose
+from swapsensus import (
+    LengthMismatch,
+    NotMatching,
+    SwapsensusError,
+    SwapStr,
+    swap_string,
+    xor_compose,
+)
 
 
 def valid_swap_bitstrings(m: int) -> Iterator[str]:
@@ -87,6 +98,29 @@ def exhaustive_sh_distance(s: str, t: str) -> int:
             best = cost
     assert best is not None
     return best
+
+
+def scan_swap_string(s: str, t: str) -> SwapStr:
+    """The swap string of (s, t) by a scan over every position.
+
+    The first mismatching position forces a swap there. Raises NotMatching
+    with the 1-based position of the first forced swap that fails.
+    """
+    n = len(s)
+    if len(t) != n:
+        raise LengthMismatch(f"|s|={n} vs |t|={len(t)}")
+    bits = ["0"] * (n - 1)
+    i = 0
+    while i < n:
+        if s[i] == t[i]:
+            i += 1
+            continue
+        if i + 1 < n and s[i] == t[i + 1] and s[i + 1] == t[i]:
+            bits[i] = "1"
+            i += 2
+            continue
+        raise NotMatching(i + 1)
+    return SwapStr("".join(bits), n)
 
 
 def all_matching_words(s: str) -> set[str]:

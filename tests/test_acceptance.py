@@ -328,6 +328,8 @@ def test_06_invariant_sweeps():
 
 
 def test_07_sum_solver_scaling():
+    # Measured slopes on a 2-vCPU host: 0.88-0.95 when idle, up to 1.51 with
+    # two test suites running beside it; a solver quadratic in n gives about 2.
     sizes = (50, 100, 200, 400)
     times = []
     for n in sizes:
@@ -337,7 +339,7 @@ def test_07_sum_solver_scaling():
     fit = statistics.linear_regression(
         [math.log(n) for n in sizes], [math.log(t) for t in times]
     )
-    assert fit.slope <= 3.3, f"log-log slope {fit.slope:.2f} exceeds 3.3 ({times})"
+    assert fit.slope <= 2.0, f"log-log slope {fit.slope:.2f} exceeds 2.0 ({times})"
 
 
 def test_08_padding_equivalence():

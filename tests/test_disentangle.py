@@ -14,6 +14,7 @@ from swapsensus import (
     Disentanglement,
     Infeasible,
     Instance,
+    SwapStr,
     disentangle,
     swap_distance,
     swap_string,
@@ -85,6 +86,14 @@ class TestKnownInstances:
         assert isinstance(dz, Disentanglement)
         assert dz.strings_prime == ("abcab",)
         assert dz.budgets == (0,)
+
+    def test_length_one_words(self):
+        # Empty swap strings: the safety net ORs no bits at all.
+        dz = disentangle(Instance(("a", "a", "a")))
+        assert isinstance(dz, Disentanglement)
+        assert dz.strings_prime == ("a", "a", "a")
+        assert dz.budgets == (0, 0, 0)
+        assert dz.encoded == (SwapStr("", 1),) * 3
 
     def test_interval_resolution(self):
         dz = disentangle(Instance(("abc", "acb", "bac")))

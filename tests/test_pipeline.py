@@ -17,9 +17,11 @@ from conftest import random_words
 from swapsensus import (
     INF,
     CertificationFailure,
+    Infeasible,
     Instance,
     SwapPipelineTrace,
     apply_swaps,
+    disentangle,
     pipeline,
     radius_consensus_swap,
     rs_consensus_swap,
@@ -242,6 +244,25 @@ class TestRadiusSumConsensus:
                 assert ans.max_distance <= d
                 check_trace(inst, ans, trace)
         assert feasible_seen > 40 and infeasible_seen > 40
+
+
+def test_trace_encoding_is_the_certified_one():
+    # The pipeline solves on the swap strings disentangle certified, with
+    # no second encoding pass.
+    rng = random.Random(503)
+    checked = 0
+    for words in [TANGLED_SHORT, TANGLED_LONG] + [random_words(rng) for _ in range(200)]:
+        inst = Instance(words)
+        dz = disentangle(inst)
+        if isinstance(dz, Infeasible):
+            continue
+        base = dz.strings_prime[0]
+        assert dz.encoded == tuple(swap_string(base, w) for w in dz.strings_prime)
+        _, trace = sum_consensus_swap(inst)
+        assert trace.disentanglement == dz
+        assert trace.encoded is trace.disentanglement.encoded
+        checked += 1
+    assert checked > 40
 
 
 def test_elapsed_covers_early_exits():

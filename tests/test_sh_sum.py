@@ -125,6 +125,14 @@ class TestStateIntegrity:
         _, table = sum_consensus_sh(inst)
         self.check_table(inst, table)
 
+    def test_swap_sets_wider_than_a_machine_word(self):
+        # k=70: swap-set masks reach past bit 63, and states name words 65+.
+        inst, _ = gen_planted(0, 40, 70, 4, 4)
+        ans, table = sum_consensus_sh(inst)
+        self.check_table(inst, table)
+        assert any(s.swap_members and s.swap_members[-1] > 64 for s in table)
+        assert ans.sum_distance == sum(sh_cost(w, ans.solution) for w in inst.words)
+
     def test_random_instances(self):
         rng = random.Random(601)
         for _ in range(250):
@@ -134,23 +142,36 @@ class TestStateIntegrity:
 
 
 class TestAgainstEnumeration:
+    def check_optimum(self, inst: Instance) -> None:
+        ans, _ = sum_consensus_sh(inst)
+        best: tuple[int, str] | None = None
+        for t in ref.all_words("".join(inst.alphabet), inst.n):
+            total = sum(sh_cost(w, t) for w in inst.words)
+            if best is None or total < best[0]:
+                best = (total, t)
+        assert best is not None
+        assert ans.feasible
+        assert ans.sum_distance == best[0], inst.words
+        assert ans.solution == best[1], inst.words
+        assert ans.per_string_distances == tuple(
+            sh_cost(w, ans.solution) for w in inst.words
+        )
+
     def test_exact_minimum_and_lex_min_witness(self):
         rng = random.Random(602)
         for _ in range(300):
-            inst = Instance(random_words(rng))
-            ans, _ = sum_consensus_sh(inst)
-            best: tuple[int, str] | None = None
-            for t in ref.all_words("".join(inst.alphabet), inst.n):
-                total = sum(sh_cost(w, t) for w in inst.words)
-                if best is None or total < best[0]:
-                    best = (total, t)
-            assert best is not None
-            assert ans.feasible
-            assert ans.sum_distance == best[0], inst.words
-            assert ans.solution == best[1], inst.words
-            assert ans.per_string_distances == tuple(
-                sh_cost(w, ans.solution) for w in inst.words
-            )
+            self.check_optimum(Instance(random_words(rng)))
+
+    def test_digit_and_non_ascii_symbols(self):
+        # The column masks translate symbols to "0"/"1"; words whose own
+        # symbols are those digits, or lie outside ASCII, must not mix them up.
+        rng = random.Random(603)
+        digits = str.maketrans("abc", "10\u00e9")
+        for _ in range(150):
+            words = tuple(w.translate(digits) for w in random_words(rng))
+            inst = Instance(words)
+            self.check_optimum(inst)
+            TestStateIntegrity().check_table(inst, sum_consensus_sh(inst)[1])
 
 
 class TestDecisionBound:

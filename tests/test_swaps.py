@@ -85,6 +85,33 @@ class TestSwapString:
         with pytest.raises(NotMatching):
             swap_string("a", "b")
 
+    def test_matches_the_per_character_scan(self):
+        # swap_string visits only the mismatching positions; the reference
+        # reads every one. Same SwapStr, or NotMatching at the same position.
+        rng = random.Random(105)
+        seen = Counter()
+        for trial in range(6000):
+            n = rng.randint(1, 12)
+            s = "".join(rng.choice("abc") for _ in range(n))
+            t = ref.apply_bits(s, _random_proper_bits(rng, s))
+            if trial % 4 == 1:
+                t = s
+            elif trial % 4 == 2:  # a matching pair with one substitution
+                p = rng.randrange(n)
+                t = t[:p] + rng.choice("abc") + t[p + 1 :]
+            elif trial % 4 == 3:
+                t = "".join(rng.choice("abc") for _ in range(n))
+            outcomes = []
+            for scan in (swap_string, ref.scan_swap_string):
+                try:
+                    outcomes.append(scan(s, t))
+                except NotMatching as e:
+                    outcomes.append(e.position)
+            assert outcomes[0] == outcomes[1], (s, t)
+            got = outcomes[0]
+            seen["n=1" if n == 1 else "equal" if s == t else type(got).__name__] += 1
+        assert min(seen[key] for key in ("n=1", "equal", "SwapStr", "int")) > 100, seen
+
     @given(word_with_proper_swaps())
     def test_round_trip_recovers_exact_bits(self, pair):
         s, h = pair
@@ -145,6 +172,21 @@ class TestXorCompose:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             xor_compose("10", "100")
+
+    def test_raw_non_binary_and_empty_operands(self):
+        # Raw operands are compared symbol by symbol, whatever the symbols.
+        assert xor_compose("", "") == ""
+        assert xor_compose("abc", "abd") == "001"
+        assert xor_compose("2a1", "1a1") == "100"
+        assert xor_compose("\u00e9x\u20ac", "ex\u20ac") == "100"
+        rng = random.Random(106)
+        for _ in range(500):
+            m = rng.randint(0, 8)
+            a = "".join(rng.choice("01ab") for _ in range(m))
+            b = "".join(rng.choice("01ab") for _ in range(m))
+            assert xor_compose(a, b) == "".join(
+                "1" if x != y else "0" for x, y in zip(a, b)
+            ), (a, b)
 
     def test_union_adjacency_is_pairwise_collision(self):
         # The lemma behind disentangle's O(kn) certification: for valid swap
