@@ -19,7 +19,6 @@ from .core import (
     InvalidSymbol,
     LengthMismatch,
     NotMatching,
-    OutOfRange,
     ReservedSymbolPresent,
     SearchStats,
     SwapsensusError,
@@ -56,7 +55,7 @@ from .pipeline import (
 )
 from .sh_metric import SHWitness, sh_cost, sh_distance
 from .sh_radius import radius_consensus_sh
-from .sh_sum import DPState, sum_consensus_sh, swap_set
+from .sh_sum import DPState, sum_consensus_sh
 from .solve import solve
 from .swaps import (
     SwapStr,
@@ -79,7 +78,6 @@ __all__ = [
     "InvalidSymbol",
     "LengthMismatch",
     "NotMatching",
-    "OutOfRange",
     "ReservedSymbolPresent",
     "SearchStats",
     "SwapsensusError",
@@ -115,7 +113,6 @@ __all__ = [
     "radius_consensus_sh",
     "DPState",
     "sum_consensus_sh",
-    "swap_set",
     "solve",
     "SwapStr",
     "apply_swaps",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NoReturn
 
@@ -170,7 +171,7 @@ def _trace_payload(trace: SwapPipelineTrace) -> dict:
     }
 
 
-def _table_payload(table: tuple[DPState, ...]) -> list[dict]:
+def _table_payload(table: Sequence[DPState]) -> list[dict]:
     return [
         {
             "row": st.row,

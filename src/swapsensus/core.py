@@ -21,7 +21,6 @@ __all__ = [
     "LengthMismatch",
     "NotMatching",
     "ReservedSymbolPresent",
-    "OutOfRange",
     "CapExceeded",
     "CertificationFailure",
     "Word",
@@ -86,10 +85,6 @@ class NotMatching(SwapsensusError):
 
 class ReservedSymbolPresent(SwapsensusError):
     """The instance already uses a symbol reserved by a padding construction."""
-
-
-class OutOfRange(SwapsensusError):
-    """A position argument is outside the valid range."""
 
 
 class CapExceeded(SwapsensusError):

@@ -11,7 +11,6 @@ appending per-string binary pads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from operator import ne
@@ -169,12 +168,11 @@ def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
     """
     stats = SearchStats()
     with Timer(stats):
-        cols = []
-        for column in zip(*inst.words):
-            counts = Counter(column)
-            # max() keeps the first (smallest) symbol on count ties.
-            cols.append(max(sorted(counts), key=counts.__getitem__))
-        solution = "".join(cols)
+        # max() keeps the first (smallest) symbol on count ties.
+        solution = "".join(
+            max(sorted(set(col)), key=col.count)
+            for col in map("".join, zip(*inst.words))
+        )
         dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
     return ConsensusAnswer.found(solution, dists, stats)
 
@@ -267,7 +265,7 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     columns = [inst.column(p) for p in range(n)]
     # suffix_min[p] = unavoidable mismatch count on positions p..n-1: a
     # column's most frequent symbol mismatches the fewest words.
-    col_min = [k - max(Counter(col).values()) for col in zip(*words)]
+    col_min = [k - max(map(col.count, set(col))) for col in map("".join, zip(*words))]
     suffix_min = list(accumulate(reversed(col_min), initial=0))[::-1]
 
     # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.

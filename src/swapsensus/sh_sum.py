@@ -14,37 +14,41 @@ included, is extended by the same three rules: append one symbol that
 creates a new swap for at least one word (the symbol must then occur in the
 column under the swap's left position), or the plurality symbol when it
 creates no swap, or two symbols forming a reversed occurring 2-gram,
-provided the first of them alone creates no swap. Costs are maintained
-incrementally from per-column symbol counts, counting every new mismatch and
-crediting one unit back per confirmed swap; the final answer is recomputed
-from scratch and cross-checked before it is returned.
+provided the first of them alone creates no swap. The last two rules add a
+cost and a suffix that do not depend on the state, so each takes one source
+per row: the first state it allows in the row's (cost, prefix) order. Costs
+are maintained incrementally from per-column symbol counts, counting every
+new mismatch and crediting one unit back per confirmed swap; the final
+answer is recomputed from scratch and cross-checked before it is returned.
 
 Sets of words are bit masks (bit j stands for word j). Each column is read
 once into one mask per symbol, and those masks price every extension: a
 symbol's count is its mask's popcount, a 2-gram's carriers are the AND of
 two neighbouring columns' masks, and the words a new swap adds are those
-carriers minus the state's members. Masks become the table's sorted 1-based
-index tuples only when the table is built.
+carriers minus the state's members. The returned table is built when it is
+first read; only then do masks become its sorted 1-based index tuples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
+from operator import itemgetter
 
 from .core import (
     CertificationFailure,
     ConsensusAnswer,
     Instance,
-    OutOfRange,
     SearchStats,
     Timer,
     Word,
     decide_sum,
 )
-from .sh_metric import sh_cost, sh_distance
+from .sh_metric import sh_cost
 
-__all__ = ["DPState", "swap_set", "sum_consensus_sh"]
+__all__ = ["DPState", "sum_consensus_sh"]
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,6 @@ class DPState:
     swap_members: tuple[int, ...]
     prefix: Word
     cost: int
-
-
-def swap_set(inst: Instance, t: Word, i: int) -> frozenset[int]:
-    """Words whose greedy trace against prefix ``t`` swaps at 1-based position ``i``.
-
-    ``t`` is compared with the equal-length prefix of every input word. A
-    swap at position ``i`` exchanges positions ``i`` and ``i+1``, so ``t``
-    must cover position ``i+1``. Returns 1-based word indices.
-    """
-    if i < 1 or len(t) < i + 1 or len(t) > inst.n:
-        raise OutOfRange(
-            f"position {i} needs a prefix of length between {i + 1} and {inst.n}"
-        )
-    members = set()
-    for j, w in enumerate(inst.words, start=1):
-        _, witness = sh_distance(w[: len(t)], t)
-        if i in witness.swaps:
-            members.add(j)
-    return frozenset(members)
 
 
 # The characters "0"/"1" to the bytes 0/1, which compress() reads as selectors.
@@ -102,9 +87,46 @@ def _settle(
         row[members] = (cost, prefix)
 
 
-def _run_dp(
-    inst: Instance, stats: SearchStats
-) -> tuple[Word, int, tuple[DPState, ...]]:
+Rows = list[dict[int, tuple[int, Word]]]
+
+
+class _Table(Sequence[DPState]):
+    """The settled states of ``rows[1:]``, sorted by row and swap members.
+
+    The ``DPState`` tuple is built when the table is first read, so a caller
+    that reads only the answer never pays for it.
+    """
+
+    def __init__(self, rows: Rows):
+        self._rows = rows
+
+    @cached_property
+    def _states(self) -> tuple[DPState, ...]:
+        rows = self._rows[1:]
+        # Rows share few distinct swap sets; name each one once.
+        names = {m: _members(m) for m in set().union(*rows)}
+        return tuple(
+            DPState(r, members, p, c)
+            for r, row in enumerate(rows)
+            for members, (c, p) in sorted((names[m], held) for m, held in row.items())
+        )
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, i):
+        return self._states[i]
+
+    def __iter__(self) -> Iterator[DPState]:
+        return iter(self._states)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _Table)):
+            return self._states == tuple(other)
+        return NotImplemented
+
+
+def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows]:
     words = inst.words
     k, n = inst.k, inst.n
     # masks[p] maps each symbol of column p to the words carrying it there:
@@ -112,56 +134,69 @@ def _run_dp(
     # ones where the symbol stands, so bit j is word j (0-based).
     symbols = set().union(*words)
     marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
+    # Most columns are clean: one symbol, carried by every word.
+    everyone = (1 << k) - 1
     masks = [
         {b: int(col.translate(marks[b]), 2) for b in set(col)}
+        if col.count(col[0]) < k
+        else {col[0]: everyone}
         for col in map("".join, zip(*reversed(words)))
     ]
     # have[p] counts the symbols of column p; b costs k - have[p].get(b, 0) there.
     have = [{b: m.bit_count() for b, m in ms.items()} for ms in masks]
-    plurality = [min(h, key=lambda b: (-h[b], b)) for h in have]
+    # max() keeps the first (smallest) symbol on count ties.
+    plurality = [max(sorted(h), key=h.__getitem__) for h in have]
     # grams[p] maps each unequal 2-gram at columns (p-1, p) to the words
-    # carrying it; grams[0] and grams[n] are empty.
+    # carrying it; grams[0] and grams[n] are empty. ending[p] indexes the
+    # same grams by their last symbol: ending[p][b] lists (a, carriers).
     grams: list[dict[str, int]] = [{} for _ in range(n + 1)]
+    ending: list[dict[str, list[tuple[str, int]]]] = [{} for _ in range(n + 1)]
     for p in range(1, n):
         for a, left in masks[p - 1].items():
             for b, right in masks[p].items():
                 if a != b and (carriers := left & right):
                     grams[p][a + b] = carriers
+                    ending[p].setdefault(b, []).append((a, carriers))
 
-    def created(p: int, b: str, last: str, members: int) -> int:
-        # Words newly swapping across (p-1, p) when b lands at p after last;
-        # members already spent position p-1 on their previous swap.
-        return grams[p].get(b + last, 0) & ~members
+    def source(p: int, b: str, order: list) -> tuple[int, Word] | None:
+        # The first (cost, prefix) in order that b extends at p creating no
+        # new swap: no word outside the members (which already spent p-1 on
+        # their previous swap) carries the gram b + last at (p-1, p).
+        for members, held in order:
+            if not grams[p].get(b + held[1][-1:], 0) & ~members:
+                return held
+        return None
 
     # rows[L] maps a swap set to the best (cost, prefix) of length L; the
     # empty prefix is the one state of rows[0].
-    rows: list[dict[int, tuple[int, Word]]] = [{} for _ in range(n + 1)]
+    rows: Rows = [{} for _ in range(n + 1)]
     rows[0][0] = (0, "")
     for L in range(n):  # extend prefixes of length L at position L
-        for members, (cost, prefix) in rows[L].items():
-            last = prefix[-1:]
+        # All prefixes of row L have length L, so appending one suffix keeps
+        # their (cost, prefix) order.
+        order = sorted(rows[L].items(), key=itemgetter(1))
+        for members, (cost, prefix) in order:
             # One symbol creating at least one new swap: the reversed gram
             # must end with last, so the symbol occurs in column L-1.
-            for g, carriers in grams[L].items():
-                if g[1] == last and (swappers := carriers & ~members):
-                    new_cost = cost + k - have[L].get(g[0], 0) - swappers.bit_count()
-                    _settle(rows[L + 1], swappers, new_cost, prefix + g[0])
-            # The plurality symbol, allowed only when it creates no swap.
-            b = plurality[L]
-            if not created(L, b, last, members):
-                _settle(rows[L + 1], 0, cost + k - have[L][b], prefix + b)
-            # Two symbols forming a reversed occurring 2-gram, provided the
-            # first alone creates no swap; the gram's carriers swap.
-            for g, swappers in grams[L + 1].items():
-                if not created(L, g[1], last, members):
-                    new_cost = (
-                        cost
-                        + 2 * k
-                        - have[L].get(g[1], 0)
-                        - have[L + 1].get(g[0], 0)
-                        - swappers.bit_count()
-                    )
-                    _settle(rows[L + 2], swappers, new_cost, prefix + g[1] + g[0])
+            for a, carriers in ending[L].get(prefix[-1:], ()):
+                if swappers := carriers & ~members:
+                    new_cost = cost + k - have[L].get(a, 0) - swappers.bit_count()
+                    _settle(rows[L + 1], swappers, new_cost, prefix + a)
+        # The other two rules add a cost and a suffix that do not depend on
+        # the state, so each takes one source: the first state in order to
+        # which the rule's first symbol b adds no swap. The plurality symbol,
+        # allowed only when it creates no swap:
+        b = plurality[L]
+        if (held := source(L, b, order)) is not None:
+            _settle(rows[L + 1], 0, held[0] + k - have[L][b], held[1] + b)
+        # Two symbols b, a forming a reversed occurring 2-gram a+b, provided b
+        # alone creates no swap; the gram's carriers swap.
+        for b, pairs in ending[L + 1].items():
+            if (held := source(L, b, order)) is not None:
+                base = held[0] + 2 * k - have[L].get(b, 0)
+                for a, swappers in pairs:
+                    new_cost = base - have[L + 1].get(a, 0) - swappers.bit_count()
+                    _settle(rows[L + 2], swappers, new_cost, held[1] + b + a)
 
     # The table's row r holds prefixes of length r+1. Row 0 is one swap-free
     # state; every later row holds at most k states with swaps plus one without.
@@ -179,34 +214,28 @@ def _run_dp(
     if not final:
         raise CertificationFailure("the table's last row is empty")
     best_cost, best_word = min(final.values())
-
-    # Rows share few distinct swap sets; name each one once.
-    names = {m: _members(m) for m in set().union(*rows[1:])}
-    table = tuple(
-        DPState(r, members, p, c)
-        for r, row in enumerate(rows[1:])
-        for members, (c, p) in sorted((names[m], held) for m, held in row.items())
-    )
-    return best_word, best_cost, table
+    return best_word, best_cost, rows
 
 
 def sum_consensus_sh(
     inst: Instance, D: int | None = None
-) -> tuple[ConsensusAnswer, tuple[DPState, ...]]:
+) -> tuple[ConsensusAnswer, Sequence[DPState]]:
     """Minimize the total swap plus substitution distance to all words.
 
     Always feasible as an optimization problem; with ``D`` given, the answer
     additionally decides whether the optimal sum is within ``D``. Returns the
-    answer plus the full settled table, for k=1 and n=1 too. The witness's
-    distances are recomputed from scratch and must sum to the table's cost.
+    answer plus the full settled table, for k=1 and n=1 too; the table is a
+    read-only sequence of ``DPState`` that is built when first read. The
+    witness's distances are recomputed from scratch and must sum to the
+    table's cost.
     """
     stats = SearchStats()
     with Timer(stats):
-        witness, best_cost, table = _run_dp(inst, stats)
+        witness, best_cost, rows = _run_dp(inst, stats)
         dists = tuple(sh_cost(w, witness) for w in inst.words)
         if sum(dists) != best_cost:
             raise CertificationFailure(
                 f"table cost {best_cost} != recomputed sum {sum(dists)}"
             )
     answer = ConsensusAnswer.found(witness, tuple(map(float, dists)), stats)
-    return decide_sum(answer, D), table
+    return decide_sum(answer, D), _Table(rows)

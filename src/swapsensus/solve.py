@@ -54,7 +54,8 @@ def solve(
     the Hamming metric only, whose answers then report budget + Hamming
     distance per word, as ``brute_force`` does. Returns ``(answer, detail)``:
     ``detail`` is the ``SwapPipelineTrace`` for the swap metric (None on its
-    early exits), the settled DP table for swap+substitution sum, else None.
+    early exits), the settled DP table for swap+substitution sum (built when
+    first read), else None.
     Raises ValueError for a pair without a solver, budgets with another
     metric, or a bound the objective lacks or does not take.
     """

@@ -4,6 +4,10 @@ Every enumeration here follows a definition directly and shares no logic
 with the package internals. Test modules compare package results against
 these so that a bug in an optimized routine cannot hide behind itself.
 
+``swap_set`` names the words whose greedy trace against a prefix ends with
+a swap at a given position, which is the key of the sum DP's table; the
+tests check every settled state against it.
+
 ``scan_swap_string`` is the package's former swap-string pass, which reads
 every position; the package now visits only the mismatching ones, and the
 tests hold the two to the same answers and the same failure positions.
@@ -22,10 +26,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from swapsensus import (
+    Instance,
     LengthMismatch,
     NotMatching,
     SwapsensusError,
     SwapStr,
+    sh_distance,
     swap_string,
     xor_compose,
 )
@@ -121,6 +127,29 @@ def scan_swap_string(s: str, t: str) -> SwapStr:
             continue
         raise NotMatching(i + 1)
     return SwapStr("".join(bits), n)
+
+
+class OutOfRange(SwapsensusError):
+    """A position argument is outside the valid range."""
+
+
+def swap_set(inst: Instance, t: str, i: int) -> frozenset[int]:
+    """Words whose greedy trace against prefix ``t`` swaps at 1-based position ``i``.
+
+    ``t`` is compared with the equal-length prefix of every input word. A
+    swap at position ``i`` exchanges positions ``i`` and ``i+1``, so ``t``
+    must cover position ``i+1``. Returns 1-based word indices.
+    """
+    if i < 1 or len(t) < i + 1 or len(t) > inst.n:
+        raise OutOfRange(
+            f"position {i} needs a prefix of length between {i + 1} and {inst.n}"
+        )
+    members = set()
+    for j, w in enumerate(inst.words, start=1):
+        _, witness = sh_distance(w[: len(t)], t)
+        if i in witness.swaps:
+            members.add(j)
+    return frozenset(members)
 
 
 def all_matching_words(s: str) -> set[str]:

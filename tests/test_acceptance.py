@@ -17,7 +17,7 @@ from time import perf_counter
 
 import reference as ref
 from conftest import best_of, random_words
-from reference import Blocked, Matching, three_way_match
+from reference import Blocked, Matching, swap_set, three_way_match
 from swapsensus import (
     INF,
     BudgetedInstance,
@@ -43,7 +43,6 @@ from swapsensus import (
     solve,
     sum_consensus_sh,
     swap_distance,
-    swap_set,
     swap_string,
     xor_compose,
 )

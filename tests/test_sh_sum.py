@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import statistics
@@ -10,16 +11,16 @@ import pytest
 
 import reference as ref
 from conftest import best_of, random_words
+from reference import OutOfRange, swap_set
 from swapsensus import (
     CertificationFailure,
     DPState,
     Instance,
-    OutOfRange,
     gen_planted,
     sh_cost,
     sh_sum,
+    solve,
     sum_consensus_sh,
-    swap_set,
 )
 
 WORDS = ("baba", "cabc", "abca")
@@ -190,6 +191,48 @@ def test_table_cost_is_certified(monkeypatch):
     monkeypatch.setattr(sh_sum, "sh_cost", lambda s, t: sh_cost(s, t) + 1)
     with pytest.raises(CertificationFailure, match="table cost 4 != recomputed sum 7"):
         sum_consensus_sh(Instance(WORDS))
+
+
+class TestTableOnFirstRead:
+    """The settled table is built only when a caller reads it."""
+
+    def test_answer_alone_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(sh_sum, "DPState", refuse)
+        inst = Instance(WORDS)
+        ans, table = sum_consensus_sh(inst, D=4)
+        assert (ans.solution, ans.sum_distance, ans.feasible) == ("baba", 4, True)
+        assert solve("swap-hamming", "sum", inst)[0].solution == "baba"
+        with pytest.raises(AssertionError, match="the table was built"):
+            len(table)
+
+    def test_built_table_equals_its_tuple(self):
+        _, table = sum_consensus_sh(Instance(WORDS))
+        first = tuple(table)
+        assert table == first
+        assert tuple(table) == first == tuple(table[i] for i in range(len(table)))
+        assert as_tuples(table) == EXPECTED_TABLE
+
+
+# sha1 of repr([(row, swap_members, prefix, cost) for each state]) and the
+# state count of gen_planted(0, 200, k, 4, 4), recorded from the solver
+# that settled every state from every source; a changed tie-break changes them.
+LIBRARY_SIZE_TABLES = {
+    3: ("71966b1cabcefef5bf03c58e8433b416cf353f93", 362),
+    20: ("6bb631a4d0554a5d8b2833633ade8b0724d1122d", 427),
+    60: ("e323f4d79e76425851073480ece46ea68ddf0dec", 568),
+}
+
+
+@pytest.mark.parametrize("k", sorted(LIBRARY_SIZE_TABLES))
+def test_full_tables_at_library_sizes(k):
+    inst, _ = gen_planted(0, 200, k, 4, 4)
+    ans, table = sum_consensus_sh(inst)
+    cells = repr([(s.row, s.swap_members, s.prefix, s.cost) for s in table])
+    digest = hashlib.sha1(cells.encode()).hexdigest()
+    assert (digest, ans.stats.dp_states) == LIBRARY_SIZE_TABLES[k]
 
 
 class TestSmallTables:
