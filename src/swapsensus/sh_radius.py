@@ -4,9 +4,16 @@ The candidate starts as the first input word and is repaired step by step: at
 each node the first word farther than d is located, and the candidate is
 rewritten at or next to one of their disagreements, copying symbols from that
 word. Each rewrite consumes one unit of a 2d depth budget (the root counts as
-depth 0). A node is trimmed when some word disagrees with the candidate in at
-least 4d-depth+1 positions, since no completion within the remaining budget
-can rescue it. Any returned witness is re-certified from scratch.
+depth 0). Any returned witness is re-certified from scratch.
+
+The prunes rest on one invariant: for every witness t, some root-to-t path
+keeps hamming(cand, t) <= 2d - depth, since the root is within Hamming
+distance 2d of t and each step on that path fixes at least one position of
+t. On that path every word w has hamming(cand, w) <= 4d - depth and, by
+applying t's optimal swaps for w to cand, sh(cand, w) <= hamming(cand, t) +
+sh(t, w) <= 3d - depth. So a node is cut when some word breaks either bound;
+together they are exact per word, as the least hamming(cand, t) over all t
+within d of w is max(hamming - 2d, sh - d).
 """
 
 from __future__ import annotations
@@ -57,16 +64,22 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     The search is rooted at the first input word and is complete, so a
     failed search proves infeasibility. The first witness found in the
     fixed branch order is returned, with all distances recomputed from
-    scratch. A node's subtree depends only on its candidate and depth (the
-    children on the candidate alone, the prune and the 2d cap only tighten
-    with depth), so ``_radius_search`` may skip a candidate whose subtree it
-    has already searched in vain at the same depth or a shallower one; it
-    also derives each node's Hamming distances from its parent's in O(k).
+    scratch. A node at depth ``depth`` is cut when some word w has
+    hamming(cand, w) > 4d - depth or sh(cand, w) > 3d - depth: on the way
+    to any witness t some path keeps hamming(cand, t) <= 2d - depth, and
+    there both bounds hold (see the module docstring). A witness has every
+    sh <= d <= 3d - depth, so it is never cut. A node's subtree depends
+    only on its candidate and depth (the children on the candidate alone,
+    both prunes and the 2d cap only tighten with depth), so
+    ``_radius_search`` may skip a candidate whose subtree it has already
+    searched in vain at the same depth or a shallower one; it also derives
+    each node's Hamming distances from its parent's in O(k).
 
-    The first violating word is found by the distance sandwich
-    sh <= hamming <= 2 * sh: a word within Hamming distance d is within d,
-    one at Hamming distance 2d + 1 or more is not, and ``sh_cost`` decides
-    only the words in between.
+    ``sh_cost`` runs only where the distance sandwich sh <= hamming <=
+    2 * sh cannot decide: the second prune needs it only for words with
+    hamming > 3d - depth, and of the words checked for the first violator,
+    one within Hamming distance d is within d, one at Hamming distance
+    2d + 1 or more is not, and only the words in between pay for it.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -76,6 +89,11 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
         if max(dists) >= 4 * d - depth + 1:
             return ()
+        # sh <= hamming, so only words beyond 3d - depth need sh_cost.
+        bound = 3 * d - depth
+        for w, ham in zip(words, dists):
+            if ham > bound and sh_cost(cand, w) > bound:
+                return ()
         for w, ham in zip(words, dists):
             if ham > d and (ham > 2 * d or sh_cost(cand, w) > d):
                 break

@@ -134,18 +134,25 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows]:
     # ones where the symbol stands, so bit j is word j (0-based).
     symbols = set().union(*words)
     marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
-    # Most columns are clean: one symbol, carried by every word.
-    everyone = (1 << k) - 1
-    masks = [
-        {b: int(col.translate(marks[b]), 2) for b in set(col)}
-        if col.count(col[0]) < k
-        else {col[0]: everyone}
-        for col in map("".join, zip(*reversed(words)))
-    ]
     # have[p] counts the symbols of column p; b costs k - have[p].get(b, 0) there.
-    have = [{b: m.bit_count() for b, m in ms.items()} for ms in masks]
-    # max() keeps the first (smallest) symbol on count ties.
-    plurality = [max(sorted(h), key=h.__getitem__) for h in have]
+    masks: list[dict[str, int]] = []
+    have: list[dict[str, int]] = []
+    plurality: list[str] = []
+    everyone = (1 << k) - 1
+    for col in map("".join, zip(*reversed(words))):
+        b = col[0]
+        if col.count(b) == k:
+            # Most columns are clean: one symbol, carried by every word.
+            masks.append({b: everyone})
+            have.append({b: k})
+            plurality.append(b)
+            continue
+        ms = {c: int(col.translate(marks[c]), 2) for c in set(col)}
+        h = {c: m.bit_count() for c, m in ms.items()}
+        masks.append(ms)
+        have.append(h)
+        # max() keeps the first (smallest) symbol on count ties.
+        plurality.append(max(sorted(h), key=h.__getitem__))
     # grams[p] maps each unequal 2-gram at columns (p-1, p) to the words
     # carrying it; grams[0] and grams[n] are empty. ending[p] indexes the
     # same grams by their last symbol: ending[p][b] lists (a, carriers).

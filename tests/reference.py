@@ -8,9 +8,10 @@ these so that a bug in an optimized routine cannot hide behind itself.
 a swap at a given position, which is the key of the sum DP's table; the
 tests check every settled state against it.
 
-``scan_swap_string`` is the package's former swap-string pass, which reads
-every position; the package now visits only the mismatching ones, and the
-tests hold the two to the same answers and the same failure positions.
+``scan_swap_string`` and ``scan_sh_distance`` are the package's former
+swap-string and swap+Hamming passes, which read every position; the package
+now visits only the mismatching ones, and the tests hold each pair to the
+same answers (witnesses, failure positions).
 
 The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
@@ -29,6 +30,7 @@ from swapsensus import (
     Instance,
     LengthMismatch,
     NotMatching,
+    SHWitness,
     SwapsensusError,
     SwapStr,
     sh_distance,
@@ -127,6 +129,32 @@ def scan_swap_string(s: str, t: str) -> SwapStr:
             continue
         raise NotMatching(i + 1)
     return SwapStr("".join(bits), n)
+
+
+def scan_sh_distance(s: str, t: str) -> tuple[int, SHWitness]:
+    """The greedy swap+Hamming witness of (s, t) by a scan over every position.
+
+    A mismatch whose 2-window is the reversal of the target's takes a swap
+    and skips the next position; any other mismatch is a substitution.
+    """
+    n = len(s)
+    if len(t) != n:
+        raise LengthMismatch(f"|s|={n} vs |t|={len(t)}")
+    swaps: list[int] = []
+    subs: list[int] = []
+    i = 0
+    while i < n:
+        if s[i] == t[i]:
+            i += 1
+            continue
+        if i + 1 < n and s[i] == t[i + 1] and s[i + 1] == t[i]:
+            swaps.append(i + 1)
+            i += 2
+            continue
+        subs.append(i + 1)
+        i += 1
+    w = SHWitness(tuple(swaps), tuple(subs))
+    return w.cost, w
 
 
 class OutOfRange(SwapsensusError):

@@ -268,7 +268,9 @@ def test_05_solvers_agree_with_brute_force():
 def test_06_invariant_sweeps():
     rng = random.Random(606)
 
-    # Sandwich against mismatch count, and the weakened triangle bound.
+    # Sandwich against mismatch count, the weakened triangle bound, and the
+    # bound behind the swap+substitution tree's prune: t's optimal swaps for
+    # u, applied to s, cost no more than t's plus one per mismatch of s and t.
     for _ in range(10_000):
         n = rng.randint(1, 8)
         s = "".join(rng.choice("abc") for _ in range(n))
@@ -280,6 +282,7 @@ def test_06_invariant_sweeps():
         tu = sh_cost(t, u)
         su = sh_cost(s, u)
         assert su <= min(2 * st + tu, st + 2 * tu), (s, t, u)
+        assert su <= mism + tu, (s, t, u)
 
     # Reachable-state bound on every prefix-table run: row 0 is one swap-free
     # state, later rows hold at most k states with swaps plus one without.

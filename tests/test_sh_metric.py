@@ -103,6 +103,28 @@ class TestAgainstEnumeration:
             assert cost == ref.exhaustive_sh_distance(s, t), (s, t)
             check_witness(s, t, cost, w)
 
+    def test_matches_the_per_position_scan(self):
+        # sh_distance and sh_cost visit only the mismatching positions; the
+        # reference reads every one. Same cost and the same greedy witness.
+        rng = random.Random(203)
+        swapped = 0
+        for _ in range(4000):
+            n = rng.randint(1, 14)
+            s = "".join(rng.choice("abc") for _ in range(n))
+            t = list(s)
+            for _ in range(rng.randint(0, n)):
+                p = rng.randrange(n)
+                if p + 1 < n and rng.random() < 0.5:
+                    t[p], t[p + 1] = t[p + 1], t[p]
+                else:
+                    t[p] = rng.choice("abc")
+            t = "".join(t)
+            expect = ref.scan_sh_distance(s, t)
+            assert sh_distance(s, t) == expect, (s, t)
+            assert sh_cost(s, t) == expect[0], (s, t)
+            swapped += bool(expect[1].swaps)
+        assert swapped > 1000
+
 
 class TestMetricProperties:
     def _random_pair(self, rng: random.Random) -> tuple[str, str]:

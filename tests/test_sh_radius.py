@@ -13,6 +13,7 @@ from swapsensus import (
     CertificationFailure,
     Instance,
     dollar_pad,
+    gen_planted,
     radius_consensus_sh,
     sh_cost,
     sh_radius,
@@ -50,25 +51,27 @@ class TestKnownInstances:
 
     def test_padded_instance_is_infeasible_at_radius_3(self):
         # Its candidates recur under many move orders; a subtree already
-        # proved empty is not searched again (3,061,328 nodes if it were).
+        # proved empty is not searched again (124,937 nodes if it were).
         inst = dollar_pad(Instance(("aabbcb", "bccabc", "abacca")))
         ans = radius_consensus_sh(inst, 3)
         assert not ans.feasible
-        assert ans.stats.nodes_expanded == 37_438
+        assert ans.stats.nodes_expanded == 6_219
 
     def test_distance_calls_on_the_padded_instance(self, monkeypatch):
         # Hamming distances are computed for the root's three words only,
-        # then derived from the parent's (93,604 calls if every node
-        # recomputed them). sh_cost runs only for words with d < hamming <=
-        # 2d, where the sandwich sh <= hamming <= 2 * sh cannot decide
-        # (19,996 calls if every word up to the first violator paid it).
+        # then derived from the parent's (18,657 calls if every node
+        # recomputed them). sh_cost runs only where the sandwich sh <=
+        # hamming <= 2 * sh cannot decide: for the prune, words with hamming
+        # > 3d - depth; for the first violator, words with d < hamming <= 2d
+        # (14,458 calls if every word paid it in the prune and every word up
+        # to the first violator in the scan).
         ham_calls = count_calls(monkeypatch, sh_radius, "hamming_distance")
         sh_calls = count_calls(monkeypatch, sh_radius, "sh_cost")
         inst = dollar_pad(Instance(("aabbcb", "bccabc", "abacca")))
         ans = radius_consensus_sh(inst, 3)
-        assert ans.stats.nodes_expanded == 37_438
+        assert ans.stats.nodes_expanded == 6_219
         assert len(ham_calls) == 3
-        assert len(sh_calls) == 16_194
+        assert len(sh_calls) == 8_122
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -100,6 +103,45 @@ class TestAgainstEnumeration:
             else:
                 infeasible_seen += 1
         assert feasible_seen > 80 and infeasible_seen > 40
+
+    def test_planted_instances_where_the_sh_prune_cuts(self, monkeypatch):
+        # Words planted up to 3d operations from a centre are often farther
+        # than 3d - depth from a candidate in swap+substitution distance
+        # while within 4d - depth in Hamming distance: there only the sh_cost
+        # prune cuts. Count the instances where it does, and check every
+        # verdict against enumeration.
+        real_search = sh_radius._radius_search
+        sh_cuts = 0
+
+        def spy(words, root_dists, step, stats):
+            def logged(cand, dists, depth):
+                nonlocal sh_cuts
+                moves = step(cand, dists, depth)
+                if moves == () and depth < 2 * d and max(dists) <= 4 * d - depth:
+                    sh_cuts += 1
+                return moves
+
+            return real_search(words, root_dists, logged, stats)
+
+        monkeypatch.setattr(sh_radius, "_radius_search", spy)
+        rng = random.Random(705)
+        cut_instances = feasible_seen = 0
+        for _ in range(1000):
+            d = rng.randint(1, 3)
+            n, k, sigma = rng.randint(5, 7), rng.randint(2, 5), rng.randint(2, 3)
+            ops = rng.randint(d + 1, 3 * d)
+            inst, _ = gen_planted(rng.randrange(10**6), n, k, sigma, ops)
+            sh_cuts = 0
+            ans = radius_consensus_sh(inst, d)
+            assert ans.feasible == ref_feasible(inst, d), (inst.words, d)
+            if ans.feasible:
+                feasible_seen += 1
+                assert ans.per_string_distances == tuple(
+                    sh_cost(w, ans.solution) for w in inst.words
+                )
+                assert ans.max_distance <= d
+            cut_instances += sh_cuts > 0
+        assert cut_instances > 100 and 100 < feasible_seen < 900
 
     def test_witness_within_search_depth_of_root(self):
         # Every branch step edits at most two adjacent positions, and the
