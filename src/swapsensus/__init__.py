@@ -6,118 +6,30 @@ distance (adjacent transpositions only, infinite between non-matching
 words), and the swap+substitution distance. Every solver's output is
 certified by recomputing all distances from scratch, and a brute-force
 oracle provides independent ground truth at small scale.
+
+The public names are the union of the submodules' ``__all__`` lists.
 """
 
-from .core import (
-    BudgetedInstance,
-    CapExceeded,
-    CertificationFailure,
-    ConsensusAnswer,
-    EmptyInstance,
-    INF,
-    Instance,
-    InvalidSymbol,
-    LengthMismatch,
-    NotMatching,
-    ReservedSymbolPresent,
-    SearchStats,
-    SwapsensusError,
-    UnequalLengths,
-    Word,
-    format_instance,
-    parse_instance,
-)
-from .disentangle import Disentanglement, Infeasible, disentangle
-from .hamming import (
-    MixedRadiusQuery,
-    MixedRadiusSumQuery,
-    hamming_distance,
-    pad_mixed,
-    radius_consensus_ham_mixed,
-    rs_consensus_ham_mixed,
-    sum_consensus_ham,
-)
-from .oracle import (
-    DEFAULT_CAP,
-    OracleQuery,
-    Radius,
-    RadiusSum,
-    Sum,
-    brute_force,
-    dollar_pad,
-    gen_planted,
-)
-from .pipeline import (
-    SwapPipelineTrace,
-    radius_consensus_swap,
-    rs_consensus_swap,
-    sum_consensus_swap,
-)
-from .sh_metric import SHWitness, sh_cost, sh_distance
-from .sh_radius import radius_consensus_sh
-from .sh_sum import DPState, sum_consensus_sh
-from .solve import solve
-from .swaps import (
-    SwapStr,
-    apply_swaps,
-    swap_distance,
-    swap_string,
-    xor_compose,
-)
+from . import core, disentangle, hamming, oracle, pipeline, sh_metric, sh_radius, sh_sum, solve, swaps
 
 __version__ = "0.1.0"
 
+# Built before the star imports, which rebind ``disentangle`` and ``solve``
+# to the functions of those names.
 __all__ = [
-    "BudgetedInstance",
-    "CapExceeded",
-    "CertificationFailure",
-    "ConsensusAnswer",
-    "EmptyInstance",
-    "INF",
-    "Instance",
-    "InvalidSymbol",
-    "LengthMismatch",
-    "NotMatching",
-    "ReservedSymbolPresent",
-    "SearchStats",
-    "SwapsensusError",
-    "UnequalLengths",
-    "Word",
-    "format_instance",
-    "parse_instance",
-    "Disentanglement",
-    "Infeasible",
-    "disentangle",
-    "MixedRadiusQuery",
-    "MixedRadiusSumQuery",
-    "hamming_distance",
-    "pad_mixed",
-    "radius_consensus_ham_mixed",
-    "rs_consensus_ham_mixed",
-    "sum_consensus_ham",
-    "DEFAULT_CAP",
-    "OracleQuery",
-    "Radius",
-    "RadiusSum",
-    "Sum",
-    "brute_force",
-    "dollar_pad",
-    "gen_planted",
-    "SwapPipelineTrace",
-    "radius_consensus_swap",
-    "rs_consensus_swap",
-    "sum_consensus_swap",
-    "SHWitness",
-    "sh_cost",
-    "sh_distance",
-    "radius_consensus_sh",
-    "DPState",
-    "sum_consensus_sh",
-    "solve",
-    "SwapStr",
-    "apply_swaps",
-    "swap_distance",
-    "swap_string",
-    "xor_compose",
-    "__version__",
-]
+    name
+    for module in (core, disentangle, hamming, oracle, pipeline)
+    + (sh_metric, sh_radius, sh_sum, solve, swaps)
+    for name in module.__all__
+] + ["__version__"]
+
+from .core import *
+from .disentangle import *
+from .hamming import *
+from .oracle import *
+from .pipeline import *
+from .sh_metric import *
+from .sh_radius import *
+from .sh_sum import *
+from .solve import *
+from .swaps import *

@@ -1,7 +1,8 @@
 """Command-line surface for all solvers, the oracle, and the generator.
 
-``consensus`` validates flags, loads its files and asks ``solve``, whose
-table picks the solver; budgets beyond the bounds come back as answers.
+``consensus`` checks its question with ``solve.check_query`` before it reads
+any file, then asks ``solve``, whose table picks the solver; budgets beyond
+the bounds come back as answers.
 
 Exit codes separate answers from errors: 0 means solved or feasible, 1 means
 a certified "no" (infeasible is a legitimate answer), 2 means a usage or
@@ -25,8 +26,10 @@ from .core import (
     ConsensusAnswer,
     INF,
     Instance,
+    InvalidQuery,
     NotMatching,
     SwapsensusError,
+    check_bounds,
     format_instance,
     parse_instance,
 )
@@ -34,6 +37,7 @@ from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import hamming_distance
 from .oracle import (
     DEFAULT_CAP,
+    METRICS,
     OracleQuery,
     Radius,
     RadiusSum,
@@ -44,14 +48,13 @@ from .oracle import (
 from .pipeline import SwapPipelineTrace
 from .sh_metric import sh_distance
 from .sh_sum import DPState
-from .solve import _SOLVERS, solve
+from .solve import check_query, solve
 from .swaps import swap_string
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
-_METRICS = ["hamming", "swap", "swap-hamming"]
 _OBJECTIVES = ["radius", "sum", "radius-sum"]
 
 
@@ -85,26 +88,6 @@ def _load_budgets(path: str, k: int) -> tuple[int, ...]:
     if any(b < 0 for b in budgets):
         _fail(f"budgets file {path} contains a negative value")
     return budgets
-
-
-def _check_bounds(
-    objective: str, d: int | None, big_d: int | None, sum_takes_big_d: bool
-) -> None:
-    """Validate -d/-D against the objective; only sum's use of -D differs."""
-    if objective in ("radius", "radius-sum") and d is None:
-        _fail(f"--objective {objective} requires -d")
-    if objective == "radius-sum" and big_d is None:
-        _fail("--objective radius-sum requires -D")
-    if big_d is not None and objective != "radius-sum" and not sum_takes_big_d:
-        _fail("-D is only valid with --objective radius-sum")
-    if big_d is not None and objective == "radius":
-        _fail("-D is not valid with --objective radius")
-    if objective == "sum" and d is not None:
-        _fail("-d is not valid with --objective sum")
-    if d is not None and d < 0:
-        _fail("-d must be non-negative")
-    if big_d is not None and big_d < 0:
-        _fail("-D must be non-negative")
 
 
 def _num(v: float | int | None) -> int | float | str | None:
@@ -199,7 +182,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--metric", type=click.Choice(_METRICS), required=True)
+@click.option("--metric", type=click.Choice(METRICS), required=True)
 @click.option("--output", type=click.Choice(["human", "json"]), default="human")
 @click.argument("word1")
 @click.argument("word2")
@@ -242,7 +225,7 @@ def distance(metric: str, output: str, word1: str, word2: str) -> None:
 
 
 @main.command()
-@click.option("--distance", "metric", type=click.Choice(_METRICS), required=True)
+@click.option("--distance", "metric", type=click.Choice(METRICS), required=True)
 @click.option("--objective", type=click.Choice(_OBJECTIVES), required=True)
 @click.option("-d", "d", type=int, default=None, help="radius bound")
 @click.option("-D", "big_d", type=int, default=None, help="sum bound")
@@ -269,11 +252,10 @@ def consensus(
     input_path: str,
 ) -> None:
     """Solve a consensus problem on the words in INPUT_PATH."""
-    if (metric, objective) not in _SOLVERS:
-        _fail("unsupported: open problem")
-    _check_bounds(objective, d, big_d, sum_takes_big_d=True)
-    if budgets_path is not None and metric != "hamming":
-        _fail("--budgets is only supported with --distance hamming")
+    try:
+        check_query(metric, objective, d, big_d, budgets_path is not None)
+    except InvalidQuery as exc:
+        _fail(str(exc))
     if trace and metric != "swap":
         _fail("--trace is only supported with --distance swap")
     if dump_table and not (metric == "swap-hamming" and objective == "sum"):
@@ -319,7 +301,7 @@ def disentangle_cmd(output: str, input_path: str) -> None:
 
 
 @main.command()
-@click.option("--metric", type=click.Choice(_METRICS), required=True)
+@click.option("--metric", type=click.Choice(METRICS), required=True)
 @click.option("--objective", type=click.Choice(_OBJECTIVES), required=True)
 @click.option("-d", "d", type=int, default=None, help="radius bound")
 @click.option("-D", "big_d", type=int, default=None, help="sum bound")
@@ -342,7 +324,12 @@ def oracle(
     input_path: str,
 ) -> None:
     """Brute-force ground truth over the instance alphabet (small inputs)."""
-    _check_bounds(objective, d, big_d, sum_takes_big_d=False)
+    if big_d is not None and objective != "radius-sum":
+        _fail("-D is only valid with --objective radius-sum")
+    try:
+        check_bounds(objective, d, big_d)
+    except InvalidQuery as exc:
+        _fail(str(exc))
     cap_text = os.environ.get("SWAPSENSUS_ORACLE_CAP")
     if cap_text is None:
         cap = DEFAULT_CAP

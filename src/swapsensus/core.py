@@ -23,6 +23,8 @@ __all__ = [
     "ReservedSymbolPresent",
     "CapExceeded",
     "CertificationFailure",
+    "InvalidQuery",
+    "check_bounds",
     "Word",
     "Instance",
     "BudgetedInstance",
@@ -98,6 +100,33 @@ class CertificationFailure(SwapsensusError):
     """
 
 
+class InvalidQuery(SwapsensusError, ValueError):
+    """A question that cannot be asked: a bound missing, extra or negative.
+
+    Messages name the bounds by the CLI's flags, ``-d`` and ``-D``.
+    """
+
+
+def check_bounds(objective: str, d: int | None, D: int | None) -> None:
+    """Check the radius bound d and sum bound D against the objective.
+
+    Radius needs d, radius-sum needs both, sum takes D alone and only
+    optionally (it then decides the sum); each given bound is non-negative.
+    """
+    if objective != "sum" and d is None:
+        raise InvalidQuery(f"--objective {objective} requires -d")
+    if objective == "radius-sum" and D is None:
+        raise InvalidQuery("--objective radius-sum requires -D")
+    if objective == "radius" and D is not None:
+        raise InvalidQuery("-D is not valid with --objective radius")
+    if objective == "sum" and d is not None:
+        raise InvalidQuery("-d is not valid with --objective sum")
+    if d is not None and d < 0:
+        raise InvalidQuery("-d must be non-negative")
+    if D is not None and D < 0:
+        raise InvalidQuery("-D must be non-negative")
+
+
 @dataclass(frozen=True)
 class Instance:
     """k equal-length words; the alphabet is exactly the symbols they use."""
@@ -128,10 +157,6 @@ class Instance:
     def alphabet(self) -> tuple[str, ...]:
         """All symbols occurring in the words, in canonical (code point) order."""
         return tuple(sorted({c for w in self.words for c in w}))
-
-    def column(self, p: int) -> tuple[str, ...]:
-        """Distinct symbols of 0-based column ``p``, in canonical order."""
-        return tuple(sorted({w[p] for w in self.words}))
 
 
 @dataclass(frozen=True)

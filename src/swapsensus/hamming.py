@@ -1,12 +1,11 @@
-"""Hamming-distance consensus: column majority, budgeted branching, and padding.
+"""Hamming-distance consensus: column majority and budgeted branching.
 
 The budgeted ("mixed") variants give each input word a consumed budget x_s, so
 its effective radius slack is d - x_s; plain consensus is the all-zero-budget
 case. The radius solver is the classic bounded search tree, on a search
 routine that the swap+substitution radius tree shares; the radius+sum solver
 is a complete depth-first search over column-restricted words with
-admissible pruning. pad_mixed reduces a budgeted query to a plain one by
-appending per-string binary pads.
+admissible pruning.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from .core import (
     ConsensusAnswer,
     Instance,
     LengthMismatch,
-    ReservedSymbolPresent,
     SearchStats,
     Timer,
     Word,
+    check_bounds,
     depth_first,
 )
 
@@ -36,11 +35,7 @@ __all__ = [
     "sum_consensus_ham",
     "radius_consensus_ham_mixed",
     "rs_consensus_ham_mixed",
-    "pad_mixed",
 ]
-
-# Symbols reserved by the pad construction.
-_PAD_SYMBOLS = ("0", "1")
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,7 @@ class MixedRadiusQuery:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError("radius bound must be non-negative")
+        check_bounds("radius", self.d, None)
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,7 @@ class MixedRadiusSumQuery:
     D: int
 
     def __post_init__(self) -> None:
-        if self.d < 0 or self.D < 0:
-            raise ValueError("bounds must be non-negative")
+        check_bounds("radius-sum", self.d, self.D)
 
 
 def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str | None:
@@ -262,10 +255,11 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     sum_budget = q.D - sum(q.budgeted.budgets)
     stats = SearchStats()
 
-    columns = [inst.column(p) for p in range(n)]
+    cols = list(map("".join, zip(*words)))
+    columns = [sorted(set(col)) for col in cols]  # branch order per column
     # suffix_min[p] = unavoidable mismatch count on positions p..n-1: a
     # column's most frequent symbol mismatches the fewest words.
-    col_min = [k - max(map(col.count, set(col))) for col in map("".join, zip(*words))]
+    col_min = [k - max(map(col.count, syms)) for col, syms in zip(cols, columns)]
     suffix_min = list(accumulate(reversed(col_min), initial=0))[::-1]
 
     # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.
@@ -307,32 +301,3 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     dists = tuple(float(hamming_distance(w, witness)) for w in words)
     _certify(dists, slacks, sum_budget)
     return ConsensusAnswer.found(witness, dists, stats)
-
-
-def pad_mixed(
-    q: MixedRadiusQuery | MixedRadiusSumQuery,
-) -> tuple[Instance, int] | tuple[Instance, int, int]:
-    """Reduce a budgeted query to a plain one by appending binary pads.
-
-    With x = max budget, word s with budget x_s gets the two padded copies
-    s + ("01" * x_s + "00" * (x - x_s)) and s + ("10" * x_s + "00" * (x - x_s)).
-    The padded instance is radius-d feasible (and sum-2D feasible, for
-    radius+sum queries) exactly when the original budgeted query is feasible.
-    Returns (instance, d) or (instance, d, 2*D).
-    """
-    inst = q.budgeted.instance
-    present = set(_PAD_SYMBOLS) & set(inst.alphabet)
-    if present:
-        raise ReservedSymbolPresent(
-            f"instance already uses reserved pad symbol(s) {sorted(present)}"
-        )
-    x = max(q.budgeted.budgets)
-    a_rows = []
-    b_rows = []
-    for w, xs in zip(inst.words, q.budgeted.budgets):
-        a_rows.append(w + "01" * xs + "00" * (x - xs))
-        b_rows.append(w + "10" * xs + "00" * (x - xs))
-    padded = Instance(tuple(a_rows + b_rows))
-    if isinstance(q, MixedRadiusSumQuery):
-        return padded, q.d, 2 * q.D
-    return padded, q.d

@@ -22,7 +22,14 @@ from itertools import compress
 from operator import ne
 from typing import Iterable, Iterator
 
-from .core import CertificationFailure, ConsensusAnswer, Instance, SearchStats, Word
+from .core import (
+    CertificationFailure,
+    ConsensusAnswer,
+    Instance,
+    SearchStats,
+    Word,
+    check_bounds,
+)
 from .hamming import _radius_search, hamming_distance
 from .sh_metric import sh_cost
 
@@ -81,8 +88,7 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     one within Hamming distance d is within d, one at Hamming distance
     2d + 1 or more is not, and only the words in between pay for it.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    check_bounds("radius", d, None)
     words = inst.words
     stats = SearchStats()
 

@@ -1,14 +1,22 @@
 """One table that says which solver answers each (metric, objective) question.
 
 Eight of the nine pairs have a solver; swap+substitution radius-sum is an
-open problem and has no entry.
+open problem and has no entry. ``check_query`` is the one check of a
+question's shape, for the library and the CLI alike.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .core import BudgetedInstance, ConsensusAnswer, Instance, decide_sum
+from .core import (
+    BudgetedInstance,
+    ConsensusAnswer,
+    Instance,
+    InvalidQuery,
+    check_bounds,
+    decide_sum,
+)
 from .hamming import (
     MixedRadiusQuery,
     MixedRadiusSumQuery,
@@ -21,7 +29,7 @@ from .pipeline import radius_consensus_swap, rs_consensus_swap, sum_consensus_sw
 from .sh_radius import radius_consensus_sh
 from .sh_sum import sum_consensus_sh
 
-__all__ = ["solve"]
+__all__ = ["check_query", "solve"]
 
 # (metric, objective) -> f(instance, d, D) -> (answer, detail); the Hamming
 # entries get the instance with its budgets and return the answer alone.
@@ -37,6 +45,24 @@ _SOLVERS = {
         MixedRadiusSumQuery(b, d, D)
     ),
 }
+
+
+def check_query(
+    metric: str, objective: str, d: int | None, D: int | None, budgeted: bool
+) -> None:
+    """Raise InvalidQuery unless the table has a solver for this question.
+
+    Checks, in order: the pair has an entry (swap+substitution radius-sum is
+    an open problem), the bounds fit the objective (``check_bounds``), and
+    per-word budgets come with the Hamming metric only.
+    """
+    if (metric, objective) not in _SOLVERS:
+        if (metric, objective) == ("swap-hamming", "radius-sum"):
+            raise InvalidQuery("unsupported: open problem")
+        raise InvalidQuery(f"no solver for {metric} {objective} consensus")
+    check_bounds(objective, d, D)
+    if budgeted and metric != "hamming":
+        raise InvalidQuery("--budgets is only supported with --distance hamming")
 
 
 def solve(
@@ -56,18 +82,11 @@ def solve(
     ``detail`` is the ``SwapPipelineTrace`` for the swap metric (None on its
     early exits), the settled DP table for swap+substitution sum (built when
     first read), else None.
-    Raises ValueError for a pair without a solver, budgets with another
-    metric, or a bound the objective lacks or does not take.
+    Raises InvalidQuery (a ValueError) where ``check_query`` does, with the
+    CLI's messages.
     """
-    entry = _SOLVERS.get((metric, objective))
-    if entry is None:
-        raise ValueError(f"no solver for {metric} {objective} consensus")
-    if budgets is not None and metric != "hamming":
-        raise ValueError("budgets are supported with the hamming metric only")
-    d_fits = (d is None) == (objective == "sum")
-    D_fits = objective == "sum" or (D is None) == (objective == "radius")
-    if not (d_fits and D_fits):
-        raise ValueError(f"wrong bounds for the {objective} objective: d={d}, D={D}")
+    check_query(metric, objective, d, D, budgets is not None)
+    entry = _SOLVERS[metric, objective]
     if metric != "hamming":
         return entry(inst, d, D)
     b = BudgetedInstance(inst, budgets or (0,) * inst.k)

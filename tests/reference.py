@@ -17,6 +17,9 @@ The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
 it, so it lives here, built on the package's swap strings, and the tests
 check it against the enumerations.
+
+``pad_mixed`` rewrites a budgeted Hamming query as a plain one; the tests
+check that both have the same verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from typing import Iterator
 from swapsensus import (
     Instance,
     LengthMismatch,
+    MixedRadiusQuery,
+    MixedRadiusSumQuery,
     NotMatching,
+    ReservedSymbolPresent,
     SHWitness,
     SwapsensusError,
     SwapStr,
@@ -246,3 +252,36 @@ def three_way_match(s1: str, s2: str, s3: str) -> ThreeWayOutcome:
     # Bits j, j+1 (0-based) are the first adjacent ones; second 1-based index:
     p = j + 2
     return Blocked(p=p, forced_window=s2[p - 2 : p + 1])
+
+
+# Symbols reserved by the pad construction.
+_PAD_SYMBOLS = ("0", "1")
+
+
+def pad_mixed(
+    q: MixedRadiusQuery | MixedRadiusSumQuery,
+) -> tuple[Instance, int] | tuple[Instance, int, int]:
+    """Reduce a budgeted query to a plain one by appending binary pads.
+
+    With x = max budget, word s with budget x_s gets the two padded copies
+    s + ("01" * x_s + "00" * (x - x_s)) and s + ("10" * x_s + "00" * (x - x_s)).
+    The padded instance is radius-d feasible (and sum-2D feasible, for
+    radius+sum queries) exactly when the original budgeted query is feasible.
+    Returns (instance, d) or (instance, d, 2*D).
+    """
+    inst = q.budgeted.instance
+    present = set(_PAD_SYMBOLS) & set(inst.alphabet)
+    if present:
+        raise ReservedSymbolPresent(
+            f"instance already uses reserved pad symbol(s) {sorted(present)}"
+        )
+    x = max(q.budgeted.budgets)
+    a_rows = []
+    b_rows = []
+    for w, xs in zip(inst.words, q.budgeted.budgets):
+        a_rows.append(w + "01" * xs + "00" * (x - xs))
+        b_rows.append(w + "10" * xs + "00" * (x - xs))
+    padded = Instance(tuple(a_rows + b_rows))
+    if isinstance(q, MixedRadiusSumQuery):
+        return padded, q.d, 2 * q.D
+    return padded, q.d

@@ -17,7 +17,7 @@ from time import perf_counter
 
 import reference as ref
 from conftest import best_of, random_words
-from reference import Blocked, Matching, swap_set, three_way_match
+from reference import Blocked, Matching, pad_mixed, swap_set, three_way_match
 from swapsensus import (
     INF,
     BudgetedInstance,
@@ -35,7 +35,6 @@ from swapsensus import (
     dollar_pad,
     gen_planted,
     hamming_distance,
-    pad_mixed,
     radius_consensus_ham_mixed,
     radius_consensus_sh,
     radius_consensus_swap,

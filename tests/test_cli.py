@@ -314,6 +314,10 @@ class TestConsensusCommand:
                 ["--distance", "swap", "--objective", "sum", "--dump-table"],
                 "--dump-table is only supported",
             ),
+            (
+                ["--distance", "swap", "--objective", "sum", "-D", "-1"],
+                "-D must be non-negative",
+            ),
         ],
     )
     def test_flag_validation(self, runner, tmp_path, args, fragment):
@@ -321,6 +325,34 @@ class TestConsensusCommand:
         result = runner.invoke(main, ["consensus", *args, path])
         assert result.exit_code == 2
         assert fragment in result.stderr
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["--distance", "swap-hamming", "--objective", "radius-sum", "-d", "1"],
+                "unsupported: open problem",
+            ),
+            (
+                ["--distance", "swap", "--objective", "radius", "-d", "-1"],
+                "-d must be non-negative",
+            ),
+            (
+                ["--distance", "swap", "--objective", "sum", "-D", "-1"],
+                "-D must be non-negative",
+            ),
+            (
+                ["--distance", "swap", "--objective", "sum", "--budgets", "missing.txt"],
+                "--budgets is only supported with --distance hamming",
+            ),
+        ],
+    )
+    def test_flag_errors_come_before_file_errors(self, runner, tmp_path, args, message):
+        # The input file does not exist, yet the flag error is the one reported.
+        missing = str(tmp_path / "missing.txt")
+        result = runner.invoke(main, ["consensus", *args, missing])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
 
     def test_budgets_only_with_hamming(self, runner, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
@@ -505,6 +537,9 @@ class TestDisentangleCommand:
         assert "column 3" in payload["reason"]
 
 
+ONLY_RADIUS_SUM = "-D is only valid with --objective radius-sum"
+
+
 class TestOracleCommand:
     def test_hamming_radius(self, runner, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
@@ -544,6 +579,26 @@ class TestOracleCommand:
         )
         assert result.exit_code == 2
         assert "-D is only valid with --objective radius-sum" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # -D outside radius-sum is named even when -d is missing too.
+            (["--objective", "radius", "-D", "2"], ONLY_RADIUS_SUM),
+            (["--objective", "radius", "-d", "1", "-D", "2"], ONLY_RADIUS_SUM),
+            (["--objective", "sum", "-D", "2"], ONLY_RADIUS_SUM),
+            (["--objective", "radius"], "--objective radius requires -d"),
+            (["--objective", "radius-sum", "-d", "1"], "--objective radius-sum requires -D"),
+            (["--objective", "sum", "-d", "1"], "-d is not valid with --objective sum"),
+            (["--objective", "radius", "-d", "-1"], "-d must be non-negative"),
+            (["--objective", "radius-sum", "-d", "1", "-D", "-1"], "-D must be non-negative"),
+        ],
+    )
+    def test_flag_errors(self, runner, tmp_path, args, message):
+        missing = str(tmp_path / "missing.txt")
+        result = runner.invoke(main, ["oracle", "--metric", "hamming", *args, missing])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
 
     def test_cap_environment_variable(self, runner, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("abc", "bca"))

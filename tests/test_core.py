@@ -47,13 +47,6 @@ class TestInstance:
         inst = Instance(("zya", "azz"))
         assert inst.alphabet == ("a", "y", "z")
 
-    def test_column_returns_distinct_sorted_symbols(self):
-        inst = Instance(("abca", "bbca", "acba"))
-        assert inst.column(0) == ("a", "b")
-        assert inst.column(1) == ("b", "c")
-        assert inst.column(2) == ("b", "c")
-        assert inst.column(3) == ("a",)
-
     def test_no_words_rejected(self):
         with pytest.raises(EmptyInstance):
             Instance(())

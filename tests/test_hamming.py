@@ -23,7 +23,6 @@ from swapsensus import (
     MixedRadiusSumQuery,
     ReservedSymbolPresent,
     hamming_distance,
-    pad_mixed,
     radius_consensus_ham_mixed,
     rs_consensus_ham_mixed,
     sum_consensus_ham,
@@ -279,21 +278,21 @@ class TestPadMixed:
     def test_example_pads(self):
         inst = Instance(("ab", "cd"))
         q = MixedRadiusQuery(BudgetedInstance(inst, (1, 0)), 1)
-        padded, d = pad_mixed(q)
+        padded, d = ref.pad_mixed(q)
         assert padded.words == ("ab01", "cd00", "ab10", "cd00")
         assert d == 1
 
     def test_zero_budgets_duplicate_without_pads(self):
         inst = Instance(("ab", "cd"))
         q = MixedRadiusQuery(BudgetedInstance(inst, (0, 0)), 1)
-        padded, d = pad_mixed(q)
+        padded, d = ref.pad_mixed(q)
         assert padded.words == ("ab", "cd", "ab", "cd")
         assert d == 1
 
     def test_rs_query_doubles_sum_bound(self):
         inst = Instance(("ab", "cd"))
         q = MixedRadiusSumQuery(BudgetedInstance(inst, (1, 0)), 2, 3)
-        padded, d, big_d = pad_mixed(q)
+        padded, d, big_d = ref.pad_mixed(q)
         assert d == 2 and big_d == 6
         assert padded.k == 4
 
@@ -301,7 +300,7 @@ class TestPadMixed:
         inst = Instance(("a0", "aa"))
         q = MixedRadiusQuery(BudgetedInstance(inst, (0, 0)), 1)
         with pytest.raises(ReservedSymbolPresent):
-            pad_mixed(q)
+            ref.pad_mixed(q)
 
     def test_radius_feasibility_equivalence(self):
         rng = random.Random(305)
@@ -312,7 +311,7 @@ class TestPadMixed:
             budgets = tuple(rng.randint(0, d) for _ in range(inst.k))
             q = MixedRadiusQuery(BudgetedInstance(inst, budgets), d)
             mixed = radius_consensus_ham_mixed(q)
-            padded, pd = pad_mixed(q)
+            padded, pd = ref.pad_mixed(q)
             plain = radius_consensus_ham_mixed(
                 MixedRadiusQuery(BudgetedInstance(padded, (0,) * padded.k), pd)
             )
@@ -331,7 +330,7 @@ class TestPadMixed:
                 continue
             q = MixedRadiusSumQuery(BudgetedInstance(inst, budgets), d, big_d)
             mixed = rs_consensus_ham_mixed(q)
-            padded, pd, pD = pad_mixed(q)
+            padded, pd, pD = ref.pad_mixed(q)
             plain = rs_consensus_ham_mixed(
                 MixedRadiusSumQuery(BudgetedInstance(padded, (0,) * padded.k), pd, pD)
             )

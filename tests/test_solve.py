@@ -9,6 +9,7 @@ import pytest
 from conftest import random_instance
 from swapsensus import (
     Instance,
+    InvalidQuery,
     OracleQuery,
     Radius,
     RadiusSum,
@@ -85,6 +86,43 @@ def test_open_problem_and_misuse_raise():
         solve("hamming", "sum", inst, 1)
     with pytest.raises(ValueError):
         solve("hamming", "radius", inst, 1, 2)
+
+
+@pytest.mark.parametrize("metric,objective", ENTRIES)
+def test_negative_bound_is_an_invalid_query(metric, objective):
+    # Not an infeasible answer: the question itself is malformed.
+    bounds = {
+        "radius": [(-1, None, "-d must be non-negative")],
+        "sum": [(None, -1, "-D must be non-negative")],
+        "radius-sum": [
+            (-1, 1, "-d must be non-negative"),
+            (1, -1, "-D must be non-negative"),
+        ],
+    }[objective]
+    for d, D, message in bounds:
+        with pytest.raises(InvalidQuery) as excinfo:
+            solve(metric, objective, Instance(("ab", "ba")), d, D)
+        assert str(excinfo.value) == message
+
+
+def test_query_errors_carry_the_cli_messages():
+    inst = Instance(("ab", "ba"))
+    for args, kwargs, message in [
+        (("swap-hamming", "radius-sum", inst, 1, 2), {}, "unsupported: open problem"),
+        (("swap", "hamming", inst), {}, "no solver for swap hamming consensus"),
+        (("hamming", "radius", inst), {}, "--objective radius requires -d"),
+        (("hamming", "radius-sum", inst, 1), {}, "--objective radius-sum requires -D"),
+        (("hamming", "radius", inst, 1, 2), {}, "-D is not valid with --objective radius"),
+        (("hamming", "sum", inst, 1), {}, "-d is not valid with --objective sum"),
+        (
+            ("swap", "radius", inst, 1),
+            {"budgets": (0, 0)},
+            "--budgets is only supported with --distance hamming",
+        ),
+    ]:
+        with pytest.raises(InvalidQuery) as excinfo:
+            solve(*args, **kwargs)
+        assert str(excinfo.value) == message
 
 
 def test_detail_shapes():
