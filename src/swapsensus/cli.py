@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -47,7 +47,6 @@ from .oracle import (
 )
 from .pipeline import SwapPipelineTrace
 from .sh_metric import sh_distance
-from .sh_sum import DPState
 from .solve import check_query, solve
 from .swaps import swap_string
 
@@ -154,18 +153,6 @@ def _trace_payload(trace: SwapPipelineTrace) -> dict:
     }
 
 
-def _table_payload(table: Sequence[DPState]) -> list[dict]:
-    return [
-        {
-            "row": st.row,
-            "swap_members": list(st.swap_members),
-            "prefix": st.prefix,
-            "cost": st.cost,
-        }
-        for st in table
-    ]
-
-
 def _finish(answer: ConsensusAnswer, output: str, extra: dict | None = None) -> NoReturn:
     payload = _answer_payload(answer)
     lines = _answer_lines(answer)
@@ -268,7 +255,7 @@ def consensus(
     if trace and detail is not None:
         extra = {"trace": _trace_payload(detail)}
     elif dump_table:
-        extra = {"table": _table_payload(detail)}
+        extra = {"table": [asdict(st) for st in detail]}
     _finish(answer, output, extra)
 
 

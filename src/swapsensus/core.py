@@ -10,7 +10,8 @@ indexes 0-based.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import wraps
 from typing import Callable, Iterable, TypeVar
 
 __all__ = [
@@ -177,7 +178,11 @@ class BudgetedInstance:
 
 @dataclass
 class SearchStats:
-    """Counters reported by solvers; all costs are recomputed, never these."""
+    """Counters reported by solvers; all costs are recomputed, never these.
+
+    ``elapsed`` is the wall time in seconds of the whole public call that
+    returned the answer, early exits and certification included.
+    """
 
     nodes_expanded: int = 0
     dp_states: int = 0
@@ -185,12 +190,7 @@ class SearchStats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "dp_states": self.dp_states,
-            "oracle_enumerated": self.oracle_enumerated,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def _check_stats(stats: SearchStats) -> SearchStats:
@@ -259,21 +259,27 @@ def decide_sum(
     )
 
 
-class Timer:
-    """Tiny context manager writing wall time into a SearchStats."""
-
-    def __init__(self, stats: SearchStats):
-        self.stats = stats
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stats.elapsed = time.perf_counter() - self._t0
-
-
 Node = TypeVar("Node")
+Solver = TypeVar("Solver", bound=Callable)
+
+
+def timed(solver: Solver) -> Solver:
+    """Set ``answer.stats.elapsed`` to the wall time of each whole call.
+
+    ``solver`` returns an answer or an ``(answer, detail)`` pair. A solver
+    that returns an inner solver's stats shares them, so when timed calls
+    nest, the outermost call's time is the one kept.
+    """
+
+    @wraps(solver)
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        out = solver(*args, **kwargs)
+        answer = out[0] if isinstance(out, tuple) else out
+        answer.stats.elapsed = time.perf_counter() - start
+        return out
+
+    return run
 
 
 def depth_first(

@@ -22,10 +22,10 @@ from .core import (
     Instance,
     LengthMismatch,
     SearchStats,
-    Timer,
     Word,
     check_bounds,
     depth_first,
+    timed,
 )
 
 __all__ = [
@@ -148,28 +148,26 @@ def _radius_search(
             return None
         return children(cand, dists, depth, moves)
 
-    with Timer(stats):
-        found = depth_first((words[0], root_dists), expand)
+    found = depth_first((words[0], root_dists), expand)
     return None if found is None else found[0]
 
 
+@timed
 def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
     """Minimize the sum of Hamming distances: per-column majority.
 
     Ties go to the smaller symbol, which makes the result the lex-minimal
     optimum. Always feasible.
     """
-    stats = SearchStats()
-    with Timer(stats):
-        # max() keeps the first (smallest) symbol on count ties.
-        solution = "".join(
-            max(sorted(set(col)), key=col.count)
-            for col in map("".join, zip(*inst.words))
-        )
-        dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
-    return ConsensusAnswer.found(solution, dists, stats)
+    # max() keeps the first (smallest) symbol on count ties.
+    solution = "".join(
+        max(sorted(set(col)), key=col.count) for col in map("".join, zip(*inst.words))
+    )
+    dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
+    return ConsensusAnswer.found(solution, dists)
 
 
+@timed
 def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     """Bounded search tree for budgeted radius consensus.
 
@@ -225,6 +223,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     return ConsensusAnswer.found(witness, dists, stats)
 
 
+@timed
 def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     """Complete normalized search for budgeted radius+sum consensus.
 
@@ -291,8 +290,7 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
             else:
                 yield b, new_mism, total + add
 
-    with Timer(stats):
-        depth_first(("", [0] * k, 0), expand)
+    depth_first(("", [0] * k, 0), expand)
     if best is None:
         return ConsensusAnswer.none(
             f"no word meets radius {q.d} slacks with sum within {sum_budget}", stats

@@ -23,8 +23,9 @@ from .core import (
     Instance,
     ReservedSymbolPresent,
     SearchStats,
-    Timer,
     Word,
+    check_bounds,
+    timed,
 )
 from .hamming import hamming_distance
 from .sh_metric import sh_cost
@@ -93,6 +94,11 @@ class OracleQuery:
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        obj = self.objective
+        if isinstance(obj, Radius):
+            check_bounds("radius", obj.d, None)
+        elif isinstance(obj, RadiusSum):
+            check_bounds("radius-sum", obj.d, obj.D)
         if self.budgets is not None:
             BudgetedInstance(self.instance, self.budgets)  # validates the budgets
         space = len(self.instance.alphabet) ** self.instance.n
@@ -102,6 +108,7 @@ class OracleQuery:
             )
 
 
+@timed
 def brute_force(q: OracleQuery) -> ConsensusAnswer:
     """Enumerate every word over the instance alphabet, in lexicographic order.
 
@@ -114,25 +121,22 @@ def brute_force(q: OracleQuery) -> ConsensusAnswer:
     budgets = q.budgets or (0,) * inst.k
     stats = SearchStats()
     best: tuple[float, Word] | None = None
-    with Timer(stats):
-        for tup in itertools.product(inst.alphabet, repeat=inst.n):
-            t = "".join(tup)
-            stats.oracle_enumerated += 1
-            dists = tuple(x + dist(w, t) for w, x in zip(inst.words, budgets))
-            if isinstance(q.objective, Radius):
-                if max(dists) <= q.objective.d:
-                    return ConsensusAnswer.found(
-                        t, tuple(float(v) for v in dists), stats
-                    )
-            elif isinstance(q.objective, Sum):
+    for tup in itertools.product(inst.alphabet, repeat=inst.n):
+        t = "".join(tup)
+        stats.oracle_enumerated += 1
+        dists = tuple(x + dist(w, t) for w, x in zip(inst.words, budgets))
+        if isinstance(q.objective, Radius):
+            if max(dists) <= q.objective.d:
+                return ConsensusAnswer.found(t, tuple(float(v) for v in dists), stats)
+        elif isinstance(q.objective, Sum):
+            total = sum(dists)
+            if total != INF and (best is None or total < best[0]):
+                best = (total, t)
+        else:
+            if max(dists) <= q.objective.d:
                 total = sum(dists)
-                if total != INF and (best is None or total < best[0]):
+                if best is None or total < best[0]:
                     best = (total, t)
-            else:
-                if max(dists) <= q.objective.d:
-                    total = sum(dists)
-                    if best is None or total < best[0]:
-                        best = (total, t)
     if isinstance(q.objective, Radius):
         return ConsensusAnswer.none(
             f"no word within {q.metric} radius {q.objective.d}", stats

@@ -16,13 +16,12 @@ returns symbols that occur in its input column, so the chosen ones stay in
 that union. (4) Decode the winning bit string back into a word and certify
 every distance from scratch, together with the radius and sum bounds; a
 disagreement raises CertificationFailure, which always means an
-implementation bug. ``stats.elapsed`` is the wall time of stages 1 to 4.
+implementation bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable
 
 from .core import (
@@ -32,7 +31,9 @@ from .core import (
     Instance,
     SearchStats,
     Word,
+    check_bounds,
     decide_sum,
+    timed,
 )
 from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import (
@@ -93,18 +94,6 @@ def _solve(
     solve_bits: Callable[[BudgetedInstance], ConsensusAnswer],
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Run every stage around ``solve_bits``; d, D: radius and sum bounds, or None."""
-    start = perf_counter()
-    answer, trace = _stages(inst, d, D, solve_bits)
-    answer.stats.elapsed = perf_counter() - start
-    return answer, trace
-
-
-def _stages(
-    inst: Instance,
-    d: int | None,
-    D: int | None,
-    solve_bits: Callable[[BudgetedInstance], ConsensusAnswer],
-) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     dz = disentangle(inst)
     if isinstance(dz, Infeasible):
         return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
@@ -144,6 +133,7 @@ def _stages(
     return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)
 
 
+@timed
 def sum_consensus_swap(
     inst: Instance, D: int | None = None
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
@@ -152,23 +142,28 @@ def sum_consensus_swap(
     The optimal bits are the per-position majority of the encodings (ties to
     0), which is exactly the Hamming sum-consensus of the bit rows.
     """
+    check_bounds("sum", None, D)
     answer, trace = _solve(inst, None, None, lambda b: sum_consensus_ham(b.instance))
     return decide_sum(answer, D, "sum of swap distances"), trace
 
 
+@timed
 def radius_consensus_swap(
     inst: Instance, d: int
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Find a word within swap distance d of every input, if one exists."""
+    check_bounds("radius", d, None)
     return _solve(
         inst, d, None, lambda b: radius_consensus_ham_mixed(MixedRadiusQuery(b, d))
     )
 
 
+@timed
 def rs_consensus_swap(
     inst: Instance, d: int, D: int
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Radius d and sum D simultaneously; minimum-sum witness when feasible."""
+    check_bounds("radius-sum", d, D)
     return _solve(
         inst, d, D, lambda b: rs_consensus_ham_mixed(MixedRadiusSumQuery(b, d, D))
     )

@@ -29,6 +29,7 @@ from .core import (
     SearchStats,
     Word,
     check_bounds,
+    timed,
 )
 from .hamming import _radius_search, hamming_distance
 from .sh_metric import sh_cost
@@ -65,6 +66,7 @@ def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
             yield p - 1, cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
 
 
+@timed
 def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     """Find a word within swap+substitution distance d of every input.
 

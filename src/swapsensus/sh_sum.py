@@ -42,9 +42,10 @@ from .core import (
     ConsensusAnswer,
     Instance,
     SearchStats,
-    Timer,
     Word,
+    check_bounds,
     decide_sum,
+    timed,
 )
 from .sh_metric import sh_cost
 
@@ -224,6 +225,7 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows]:
     return best_word, best_cost, rows
 
 
+@timed
 def sum_consensus_sh(
     inst: Instance, D: int | None = None
 ) -> tuple[ConsensusAnswer, Sequence[DPState]]:
@@ -236,13 +238,13 @@ def sum_consensus_sh(
     witness's distances are recomputed from scratch and must sum to the
     table's cost.
     """
+    check_bounds("sum", None, D)
     stats = SearchStats()
-    with Timer(stats):
-        witness, best_cost, rows = _run_dp(inst, stats)
-        dists = tuple(sh_cost(w, witness) for w in inst.words)
-        if sum(dists) != best_cost:
-            raise CertificationFailure(
-                f"table cost {best_cost} != recomputed sum {sum(dists)}"
-            )
+    witness, best_cost, rows = _run_dp(inst, stats)
+    dists = tuple(sh_cost(w, witness) for w in inst.words)
+    if sum(dists) != best_cost:
+        raise CertificationFailure(
+            f"table cost {best_cost} != recomputed sum {sum(dists)}"
+        )
     answer = ConsensusAnswer.found(witness, tuple(map(float, dists)), stats)
     return decide_sum(answer, D), _Table(rows)

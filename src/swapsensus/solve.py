@@ -16,6 +16,7 @@ from .core import (
     InvalidQuery,
     check_bounds,
     decide_sum,
+    timed,
 )
 from .hamming import (
     MixedRadiusQuery,
@@ -65,6 +66,7 @@ def check_query(
         raise InvalidQuery("--budgets is only supported with --distance hamming")
 
 
+@timed
 def solve(
     metric: str,
     objective: str,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from time import perf_counter
+from time import perf_counter, sleep
 
 from swapsensus import Instance, SearchStats
 from swapsensus.core import depth_first
@@ -60,6 +60,18 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, logged)
     return log
+
+
+def slow_calls(monkeypatch, module, name: str, seconds: float) -> list[tuple]:
+    """Make every call of ``module.name`` sleep ``seconds`` first; returns its log."""
+    real = getattr(module, name)
+
+    def slow(*args):
+        sleep(seconds)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, slow)
+    return count_calls(monkeypatch, module, name)
 
 
 def plain_graph_walk(answer=None) -> tuple[str | None, list[tuple]]:

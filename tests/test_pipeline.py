@@ -13,18 +13,26 @@ import random
 import pytest
 
 import reference as ref
-from conftest import random_words
+from conftest import random_words, slow_calls
 from swapsensus import (
     INF,
+    BudgetedInstance,
     CertificationFailure,
     Infeasible,
     Instance,
+    MixedRadiusQuery,
+    MixedRadiusSumQuery,
     SwapPipelineTrace,
     apply_swaps,
     disentangle,
+    hamming,
     pipeline,
+    radius_consensus_ham_mixed,
+    radius_consensus_sh,
     radius_consensus_swap,
+    rs_consensus_ham_mixed,
     rs_consensus_swap,
+    sh_radius,
     sum_consensus_ham,
     sum_consensus_swap,
     swap_distance,
@@ -265,9 +273,10 @@ def test_trace_encoding_is_the_certified_one():
     assert checked > 40
 
 
-def test_elapsed_covers_early_exits():
+def test_elapsed_covers_early_exits(monkeypatch):
     # stats.elapsed times the whole call, so answers that stop right after
-    # disentanglement or its budget precheck still report their time.
+    # disentanglement or a budget precheck still report their time, and so
+    # do root distances and the certification of a witness.
     no_match = Instance(("ababc", "abbca", "abacb"))
     for ans, _ in (
         sum_consensus_swap(no_match),
@@ -282,6 +291,26 @@ def test_elapsed_covers_early_exits():
     ):
         assert ans.reason == "word 2 needs 2 necessary swaps > d=1"
         assert ans.stats.elapsed > 0
+    over = BudgetedInstance(Instance(("ab", "ba")), (2, 0))
+    for ans in (
+        radius_consensus_ham_mixed(MixedRadiusQuery(over, 1)),
+        rs_consensus_ham_mixed(MixedRadiusSumQuery(over, 1, 5)),
+    ):
+        assert ans.reason == "word 1 has consumed budget 2 > d=1"
+        assert ans.stats.elapsed > 0
+    inst = Instance(("abcab", "abcba", "bbcab"))
+    zero = BudgetedInstance(inst, (0, 0, 0))
+    radius_q, rs_q = MixedRadiusQuery(zero, 2), MixedRadiusSumQuery(zero, 2, 4)
+    for module, name, call in (
+        (hamming, "hamming_distance", lambda: radius_consensus_ham_mixed(radius_q)),
+        (hamming, "hamming_distance", lambda: rs_consensus_ham_mixed(rs_q)),
+        (sh_radius, "sh_cost", lambda: radius_consensus_sh(inst, 1)),
+    ):
+        with monkeypatch.context() as patch:
+            calls = slow_calls(patch, module, name, 0.002)
+            ans = call()
+        assert ans.feasible and calls
+        assert ans.stats.elapsed >= 0.002 * len(calls), (name, len(calls))
 
 
 class TestCertification:

@@ -16,8 +16,12 @@ from swapsensus import (
     Sum,
     brute_force,
     hamming_distance,
+    radius_consensus_swap,
+    rs_consensus_swap,
     sh_cost,
     solve,
+    sum_consensus_sh,
+    sum_consensus_swap,
     swap_distance,
 )
 
@@ -103,6 +107,30 @@ def test_negative_bound_is_an_invalid_query(metric, objective):
         with pytest.raises(InvalidQuery) as excinfo:
             solve(metric, objective, Instance(("ab", "ba")), d, D)
         assert str(excinfo.value) == message
+
+
+AB_BA = Instance(("ab", "ba"))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: radius_consensus_swap(AB_BA, -1), "-d must be non-negative"),
+        (lambda: sum_consensus_swap(AB_BA, -1), "-D must be non-negative"),
+        (lambda: rs_consensus_swap(AB_BA, 1, -1), "-D must be non-negative"),
+        (lambda: sum_consensus_sh(AB_BA, -1), "-D must be non-negative"),
+        (
+            lambda: brute_force(OracleQuery(AB_BA, "hamming", Radius(-1))),
+            "-d must be non-negative",
+        ),
+    ],
+    ids=["swap-radius", "swap-sum", "swap-radius-sum", "sh-sum", "oracle"],
+)
+def test_entry_points_reject_a_negative_bound(call, message):
+    # Called directly, each entry point checks its bounds as solve does.
+    with pytest.raises(InvalidQuery) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_query_errors_carry_the_cli_messages():
