@@ -14,7 +14,6 @@ the string "inf" because strict JSON has no infinity literal.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,7 +35,6 @@ from .core import (
 from .disentangle import Disentanglement, Infeasible, disentangle
 from .hamming import hamming_distance
 from .oracle import (
-    DEFAULT_CAP,
     METRICS,
     OracleQuery,
     Radius,
@@ -317,14 +315,6 @@ def oracle(
         check_bounds(objective, d, big_d)
     except InvalidQuery as exc:
         _fail(str(exc))
-    cap_text = os.environ.get("SWAPSENSUS_ORACLE_CAP")
-    if cap_text is None:
-        cap = DEFAULT_CAP
-    else:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            _fail(f"SWAPSENSUS_ORACLE_CAP is not an integer: {cap_text!r}")
     inst = _load_instance(input_path)
     budgets = (
         _load_budgets(budgets_path, inst.k) if budgets_path is not None else None
@@ -334,7 +324,7 @@ def oracle(
     else:
         obj = Radius(d) if objective == "radius" else RadiusSum(d, big_d)
     try:
-        query = OracleQuery(inst, metric, obj, budgets=budgets, cap=cap)
+        query = OracleQuery(inst, metric, obj, budgets=budgets)
     except SwapsensusError as exc:
         _fail(str(exc))
     _finish(brute_force(query), output)

@@ -91,7 +91,7 @@ class ReservedSymbolPresent(SwapsensusError):
 
 
 class CapExceeded(SwapsensusError):
-    """A brute-force enumeration would exceed its configured cap."""
+    """A brute-force enumeration would exceed its fixed cap."""
 
 
 class CertificationFailure(SwapsensusError):

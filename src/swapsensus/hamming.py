@@ -174,9 +174,10 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     A budget above d is answered "infeasible" before any search. Otherwise
     the candidate starts at the first input word. At each node, the first word
     whose slack is violated drives the branching: copy its symbol at each of
-    the first slack+1 mismatch positions. Depth is capped at d; a node is
-    pruned when some word's distance provably cannot reach its slack within
-    the remaining depth. The witness is the first found under this canonical
+    the first slack+1 mismatch positions. A node is pruned when some word's
+    distance provably cannot reach its slack within the remaining d - depth
+    steps, which bounds the depth by d: at depth d every violated word is
+    cut. The witness is the first found under this canonical
     order (violated word by index, positions left to right). The children
     depend on the candidate alone and the prune only tightens with depth, so
     ``_radius_search`` may skip subtrees it has already exhausted; it also
@@ -202,8 +203,6 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
                     violated = i
         if violated < 0:
             return None  # cand is a witness
-        if remaining == 0:
-            return ()
         # Copy the word's symbol at each of its first slack + 1 mismatches.
         w = words[violated]
         mism = compress(range(inst.n), map(ne, cand, w))

@@ -82,14 +82,13 @@ class OracleQuery:
 
     Optional per-word budgets are added to every computed distance, mirroring
     the budgeted problems left behind by disentanglement. The query is
-    rejected up front when the enumeration space exceeds ``cap``.
+    rejected up front when the enumeration space exceeds ``DEFAULT_CAP``.
     """
 
     instance: Instance
     metric: str
     objective: Objective
     budgets: tuple[int, ...] | None = None
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
@@ -102,9 +101,9 @@ class OracleQuery:
         if self.budgets is not None:
             BudgetedInstance(self.instance, self.budgets)  # validates the budgets
         space = len(self.instance.alphabet) ** self.instance.n
-        if space > self.cap:
+        if space > DEFAULT_CAP:
             raise CapExceeded(
-                f"enumeration of {space} words exceeds the cap of {self.cap}"
+                f"enumeration of {space} words exceeds the cap of {DEFAULT_CAP}"
             )
 
 
@@ -117,47 +116,37 @@ def brute_force(q: OracleQuery) -> ConsensusAnswer:
     the reported witness lex-min among the optima.
     """
     inst = q.instance
+    obj = q.objective
     dist = _DISTANCE[q.metric]
     budgets = q.budgets or (0,) * inst.k
+    # Distances are whole numbers or infinite, so "within radius d" is
+    # "below d + 1", and a Sum query still drops an infinite distance.
+    limit = INF if isinstance(obj, Sum) else obj.d + 1
     stats = SearchStats()
-    best: tuple[float, Word] | None = None
+    best: tuple[float, Word, tuple[float, ...]] | None = None
     for tup in itertools.product(inst.alphabet, repeat=inst.n):
         t = "".join(tup)
         stats.oracle_enumerated += 1
         dists = tuple(x + dist(w, t) for w, x in zip(inst.words, budgets))
-        if isinstance(q.objective, Radius):
-            if max(dists) <= q.objective.d:
-                return ConsensusAnswer.found(t, tuple(float(v) for v in dists), stats)
-        elif isinstance(q.objective, Sum):
-            total = sum(dists)
-            if total != INF and (best is None or total < best[0]):
-                best = (total, t)
-        else:
-            if max(dists) <= q.objective.d:
-                total = sum(dists)
-                if best is None or total < best[0]:
-                    best = (total, t)
-    if isinstance(q.objective, Radius):
-        return ConsensusAnswer.none(
-            f"no word within {q.metric} radius {q.objective.d}", stats
-        )
+        if max(dists) >= limit:
+            continue
+        if isinstance(obj, Radius):
+            return ConsensusAnswer.found(t, tuple(map(float, dists)), stats)
+        total = sum(dists)
+        if best is None or total < best[0]:
+            best = (total, t, dists)
     if best is None:
-        if isinstance(q.objective, Sum):
+        if isinstance(obj, Sum):
             return ConsensusAnswer.none("no word at finite total distance", stats)
+        return ConsensusAnswer.none(f"no word within {q.metric} radius {obj.d}", stats)
+    total, t, dists = best
+    if isinstance(obj, RadiusSum) and total > obj.D:
         return ConsensusAnswer.none(
-            f"no word within {q.metric} radius {q.objective.d}", stats
-        )
-    total, t = best
-    if isinstance(q.objective, RadiusSum) and total > q.objective.D:
-        return ConsensusAnswer.none(
-            f"minimum total within radius {q.objective.d} is {int(total)} "
-            f"> {q.objective.D}",
+            f"minimum total within radius {obj.d} is {int(total)} "
+            f"> {obj.D}",
             stats,
         )
-    dists = tuple(
-        float(x + dist(w, t)) for w, x in zip(inst.words, budgets)
-    )
-    return ConsensusAnswer.found(t, dists, stats)
+    return ConsensusAnswer.found(t, tuple(map(float, dists)), stats)
 
 
 def dollar_pad(inst: Instance) -> Instance:

@@ -3,8 +3,8 @@
 The candidate starts as the first input word and is repaired step by step: at
 each node the first word farther than d is located, and the candidate is
 rewritten at or next to one of their disagreements, copying symbols from that
-word. Each rewrite consumes one unit of a 2d depth budget (the root counts as
-depth 0). Any returned witness is re-certified from scratch.
+word. Each rewrite is one level of the tree (the root is depth 0). Any
+returned witness is re-certified from scratch.
 
 The prunes rest on one invariant: for every witness t, some root-to-t path
 keeps hamming(cand, t) <= 2d - depth, since the root is within Hamming
@@ -13,7 +13,9 @@ t. On that path every word w has hamming(cand, w) <= 4d - depth and, by
 applying t's optimal swaps for w to cand, sh(cand, w) <= hamming(cand, t) +
 sh(t, w) <= 3d - depth. So a node is cut when some word breaks either bound;
 together they are exact per word, as the least hamming(cand, t) over all t
-within d of w is max(hamming - 2d, sh - d).
+within d of w is max(hamming - 2d, sh - d). They also bound the depth by 2d:
+at depth 2d a word with hamming > 2d breaks the first, one with d < hamming
+<= 2d and sh > d the second, so a node there is cut or is a witness.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     there both bounds hold (see the module docstring). A witness has every
     sh <= d <= 3d - depth, so it is never cut. A node's subtree depends
     only on its candidate and depth (the children on the candidate alone,
-    both prunes and the 2d cap only tighten with depth), so
+    both prunes only tighten with depth and keep it at most 2d), so
     ``_radius_search`` may skip a candidate whose subtree it has already
     searched in vain at the same depth or a shallower one; it also derives
     each node's Hamming distances from its parent's in O(k).
@@ -107,8 +109,6 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
                 break
         else:
             return None  # cand is a witness
-        if depth == 2 * d:
-            return ()
         return _moves(cand, w, d)
 
     root_dists = [hamming_distance(words[0], w) for w in words]

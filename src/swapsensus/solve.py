@@ -21,7 +21,6 @@ from .core import (
 from .hamming import (
     MixedRadiusQuery,
     MixedRadiusSumQuery,
-    hamming_distance,
     radius_consensus_ham_mixed,
     rs_consensus_ham_mixed,
     sum_consensus_ham,
@@ -94,9 +93,6 @@ def solve(
     b = BudgetedInstance(inst, budgets or (0,) * inst.k)
     answer = entry(b, d, D)
     if answer.feasible and any(b.budgets):
-        dists = tuple(
-            float(x + hamming_distance(w, answer.solution))
-            for w, x in zip(inst.words, b.budgets)
-        )
+        dists = tuple(x + v for x, v in zip(b.budgets, answer.per_string_distances))
         answer = ConsensusAnswer.found(answer.solution, dists, answer.stats)
     return (decide_sum(answer, D) if objective == "sum" else answer), None

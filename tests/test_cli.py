@@ -413,6 +413,23 @@ class TestConsensusCommand:
         )
         assert result.exit_code == 2
         assert "negative" in result.stderr
+        result = runner.invoke(
+            main,
+            [
+                "consensus",
+                "--distance",
+                "hamming",
+                "--objective",
+                "radius",
+                "-d",
+                "1",
+                "--budgets",
+                str(tmp_path / "missing.txt"),
+                inst,
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: [Errno 2] ")
 
     def test_missing_input_file(self, runner, tmp_path):
         result = runner.invoke(
@@ -601,24 +618,15 @@ class TestOracleCommand:
         assert result.stderr == f"error: {message}\n"
 
     def test_cap_environment_variable(self, runner, tmp_path):
-        path = write_lines(tmp_path, "inst.txt", ("abc", "bca"))
+        # The cap is fixed: 4 symbols at n=11 are 4,194,304 words, above it.
+        path = write_lines(tmp_path, "inst.txt", ("abcdabcdabc", "dcbadcbadcb"))
         result = runner.invoke(
-            main,
-            ["oracle", "--metric", "hamming", "--objective", "sum", path],
-            env={"SWAPSENSUS_ORACLE_CAP": "10"},
+            main, ["oracle", "--metric", "hamming", "--objective", "sum", path]
         )
         assert result.exit_code == 2
-        assert "exceeds the cap of 10" in result.stderr
-
-    def test_cap_environment_variable_invalid(self, runner, tmp_path):
-        path = write_lines(tmp_path, "inst.txt", ("ab",))
-        result = runner.invoke(
-            main,
-            ["oracle", "--metric", "hamming", "--objective", "sum", path],
-            env={"SWAPSENSUS_ORACLE_CAP": "lots"},
+        assert result.stderr == (
+            "error: enumeration of 4194304 words exceeds the cap of 2000000\n"
         )
-        assert result.exit_code == 2
-        assert "SWAPSENSUS_ORACLE_CAP is not an integer" in result.stderr
 
     def test_oracle_infeasible_exit(self, runner, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
@@ -703,6 +711,29 @@ class TestGenCommand:
         )
         assert result.exit_code == 2
         assert "sigma" in result.stderr
+
+    def test_output_directory_missing(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        result = runner.invoke(
+            main,
+            [
+                "gen",
+                "--seed",
+                "1",
+                "-n",
+                "4",
+                "-k",
+                "2",
+                "--sigma",
+                "2",
+                "--ops-budget",
+                "1",
+                str(out),
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: [Errno 2] ")
+        assert not out.parent.exists()
 
 
 def test_installed_entry_point():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +56,8 @@ class TestInstance:
     def test_zero_length_word_rejected(self):
         with pytest.raises(EmptyInstance):
             Instance(("",))
+        with pytest.raises(EmptyInstance, match="zero-length word at line 2"):
+            Instance(("ab", ""))
 
     def test_unequal_lengths_rejected_with_word_index(self):
         with pytest.raises(UnequalLengths) as exc:
@@ -161,6 +165,33 @@ class TestMisc:
         ]
         union = {name for mod in submodules for name in getattr(mod, "__all__", ())}
         assert set(exported) - {"__version__"} == union
+
+    def test_names_the_benchmark_uses_exist(self):
+        # Read from the benchmark's source, not imported: its package names,
+        # and the module attributes its traced run patches with CallMeter.
+        names, patched = set(), set()
+        for path in (Path(__file__).parent.parent / "benchmarks").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "swapsensus":
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute):
+                    owner = node.value  # sw.<name> or self.sw.<name>
+                    if "sw" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
+                        names.add(node.attr)
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "CallMeter":
+                    module, name = node.args[:2]
+                    patched.add((module.id, name.value))
+        assert {"OracleQuery", "brute_force", "gen_planted", "sh_radius"} <= names
+        for name in names:  # the package imports every submodule
+            assert hasattr(swapsensus, name), name
+        assert patched == {
+            ("hamming", "hamming_distance"),
+            ("sh_radius", "hamming_distance"),
+            ("sh_radius", "sh_cost"),
+            ("sh_sum", "sh_cost"),
+        }
+        for module, name in patched:
+            assert hasattr(importlib.import_module(f"swapsensus.{module}"), name)
 
 
 class TestDepthFirst:

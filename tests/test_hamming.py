@@ -201,7 +201,18 @@ class TestRadiusConsensus:
             if ans.feasible:
                 assert ham(inst.words[0], ans.solution) <= d
 
-    def test_feasibility_matches_enumeration(self):
+    def test_feasibility_matches_enumeration(self, monkeypatch):
+        # The prune alone keeps the search within depth d.
+        real_search = hamming._radius_search
+
+        def spy(words, root_dists, step, stats):
+            def logged(cand, dists, depth):
+                assert depth <= d
+                return step(cand, dists, depth)
+
+            return real_search(words, root_dists, logged, stats)
+
+        monkeypatch.setattr(hamming, "_radius_search", spy)
         rng = random.Random(303)
         feasible_seen = 0
         infeasible_seen = 0

@@ -47,12 +47,15 @@ class TestQueryValidation:
             OracleQuery(Instance(("ab", "ba")), "hamming", Sum(), budgets=(0, -1))
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded):
-            OracleQuery(Instance(("abc", "bca")), "hamming", Sum(), cap=10)
+        # 4 symbols at n=11 are 4,194,304 words, above the cap of 2,000,000.
+        assert DEFAULT_CAP == 2_000_000
+        with pytest.raises(CapExceeded, match="4194304 words exceeds the cap of 2000000"):
+            OracleQuery(Instance(("abcdabcdabc", "dcbadcbadcb")), "hamming", Sum())
 
     def test_default_cap_is_permissive_at_desk_scale(self):
-        q = OracleQuery(Instance(("abc", "bca")), "hamming", Sum())
-        assert q.cap == DEFAULT_CAP
+        # 4 symbols at n=10 are 1,048,576 words, within the cap.
+        q = OracleQuery(Instance(("abcdabcdab", "dcbadcbadc")), "hamming", Radius(10))
+        assert brute_force(q).stats.oracle_enumerated == 1
 
 
 class TestBruteForce:

@@ -69,6 +69,8 @@ class TestKnownValues:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             sh_distance("ab", "abc")
+        with pytest.raises(LengthMismatch, match=r"\|s\|=2 vs \|t\|=3"):
+            sh_cost("ab", "abc")
 
     def test_helper_matches_witness(self):
         assert sh_distance("abab", "baba")[1].swaps == (1, 3)

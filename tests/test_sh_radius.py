@@ -116,6 +116,7 @@ class TestAgainstEnumeration:
         def spy(words, root_dists, step, stats):
             def logged(cand, dists, depth):
                 nonlocal sh_cuts
+                assert depth <= 2 * d  # the two prunes alone keep it there
                 moves = step(cand, dists, depth)
                 if moves == () and depth < 2 * d and max(dists) <= 4 * d - depth:
                     sh_cuts += 1
