@@ -2,51 +2,42 @@
 
 ``consensus`` checks its question with ``solve.check_query`` before it reads
 any file, then asks ``solve``, whose table picks the solver; budgets beyond
-the bounds come back as answers.
+the bounds come back as answers. Each command imports the solver modules it
+runs when it runs, so start-up loads nothing else.
 
 Exit codes separate answers from errors: 0 means solved or feasible, 1 means
 a certified "no" (infeasible is a legitimate answer), 2 means a usage or
-input error. JSON output has a stable schema; every distance in it is
-recomputed from the reported witness, and infinite values are rendered as
-the string "inf" because strict JSON has no infinity literal.
+input error (argparse prints its own ``usage:`` text for flags it rejects).
+JSON output has a stable schema; every distance in it is recomputed from the
+reported witness, and infinite values are rendered as the string "inf"
+because strict JSON has no infinity literal.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import NoReturn
-
-import click
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     ConsensusAnswer,
     INF,
     Instance,
     InvalidQuery,
+    METRICS,
     NotMatching,
     SwapsensusError,
     check_bounds,
     format_instance,
     parse_instance,
 )
-from .disentangle import Disentanglement, Infeasible, disentangle
-from .hamming import hamming_distance
-from .oracle import (
-    METRICS,
-    OracleQuery,
-    Radius,
-    RadiusSum,
-    Sum,
-    brute_force,
-    gen_planted,
-)
-from .pipeline import SwapPipelineTrace
-from .sh_metric import sh_distance
-from .solve import check_query, solve
-from .swaps import swap_string
+
+if TYPE_CHECKING:
+    from .disentangle import Disentanglement
+    from .pipeline import SwapPipelineTrace
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -56,7 +47,7 @@ _OBJECTIVES = ["radius", "sum", "radius-sum"]
 
 
 def _fail(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_USAGE)
 
 
@@ -100,10 +91,10 @@ def _num(v: float | int | None) -> int | float | str | None:
 
 def _emit(payload: dict, output: str, human_lines: list[str]) -> None:
     if output == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in human_lines:
-            click.echo(line)
+            print(line)
 
 
 def _answer_payload(answer: ConsensusAnswer) -> dict:
@@ -161,18 +152,12 @@ def _finish(answer: ConsensusAnswer, output: str, extra: dict | None = None) -> 
     sys.exit(EXIT_FEASIBLE if answer.feasible else EXIT_INFEASIBLE)
 
 
-@click.group()
-def main() -> None:
-    """Consensus-string solvers under swap and swap+substitution distances."""
-
-
-@main.command()
-@click.option("--metric", type=click.Choice(METRICS), required=True)
-@click.option("--output", type=click.Choice(["human", "json"]), default="human")
-@click.argument("word1")
-@click.argument("word2")
-def distance(metric: str, output: str, word1: str, word2: str) -> None:
+def distance(metric: str, output: str, word1: str, word2: str) -> NoReturn:
     """Distance between two words, with the operation witness."""
+    from .hamming import hamming_distance
+    from .sh_metric import sh_distance
+    from .swaps import swap_string
+
     if not word1 or not word2:
         _fail("words must be non-empty")
     if len(word1) != len(word2):
@@ -209,22 +194,6 @@ def distance(metric: str, output: str, word1: str, word2: str) -> None:
     sys.exit(EXIT_FEASIBLE)
 
 
-@main.command()
-@click.option("--distance", "metric", type=click.Choice(METRICS), required=True)
-@click.option("--objective", type=click.Choice(_OBJECTIVES), required=True)
-@click.option("-d", "d", type=int, default=None, help="radius bound")
-@click.option("-D", "big_d", type=int, default=None, help="sum bound")
-@click.option(
-    "--budgets",
-    "budgets_path",
-    type=click.Path(),
-    default=None,
-    help="per-word consumed budgets (hamming only)",
-)
-@click.option("--trace", is_flag=True, help="include the swap pipeline trace")
-@click.option("--dump-table", is_flag=True, help="include the sum DP table")
-@click.option("--output", type=click.Choice(["human", "json"]), default="human")
-@click.argument("input_path", type=click.Path())
 def consensus(
     metric: str,
     objective: str,
@@ -235,8 +204,10 @@ def consensus(
     dump_table: bool,
     output: str,
     input_path: str,
-) -> None:
+) -> NoReturn:
     """Solve a consensus problem on the words in INPUT_PATH."""
+    from .solve import check_query, solve
+
     try:
         check_query(metric, objective, d, big_d, budgets_path is not None)
     except InvalidQuery as exc:
@@ -257,11 +228,10 @@ def consensus(
     _finish(answer, output, extra)
 
 
-@main.command("disentangle")
-@click.option("--output", type=click.Choice(["human", "json"]), default="human")
-@click.argument("input_path", type=click.Path())
-def disentangle_cmd(output: str, input_path: str) -> None:
+def disentangle_cmd(output: str, input_path: str) -> NoReturn:
     """Apply all necessary swaps, reporting budgets and tangled intervals."""
+    from .disentangle import Infeasible, disentangle
+
     inst = _load_instance(input_path)
     result = disentangle(inst)
     if isinstance(result, Infeasible):
@@ -285,20 +255,6 @@ def disentangle_cmd(output: str, input_path: str) -> None:
     sys.exit(EXIT_FEASIBLE)
 
 
-@main.command()
-@click.option("--metric", type=click.Choice(METRICS), required=True)
-@click.option("--objective", type=click.Choice(_OBJECTIVES), required=True)
-@click.option("-d", "d", type=int, default=None, help="radius bound")
-@click.option("-D", "big_d", type=int, default=None, help="sum bound")
-@click.option(
-    "--budgets",
-    "budgets_path",
-    type=click.Path(),
-    default=None,
-    help="per-word consumed budgets added to every distance",
-)
-@click.option("--output", type=click.Choice(["human", "json"]), default="human")
-@click.argument("input_path", type=click.Path())
 def oracle(
     metric: str,
     objective: str,
@@ -307,8 +263,10 @@ def oracle(
     budgets_path: str | None,
     output: str,
     input_path: str,
-) -> None:
+) -> NoReturn:
     """Brute-force ground truth over the instance alphabet (small inputs)."""
+    from .oracle import OracleQuery, Radius, RadiusSum, Sum, brute_force
+
     if big_d is not None and objective != "radius-sum":
         _fail("-D is only valid with --objective radius-sum")
     try:
@@ -330,18 +288,12 @@ def oracle(
     _finish(brute_force(query), output)
 
 
-@main.command()
-@click.option("--seed", type=int, required=True, help="PRNG seed (required)")
-@click.option("-n", "n", type=int, required=True, help="word length")
-@click.option("-k", "k", type=int, required=True, help="word count")
-@click.option("--sigma", type=int, required=True, help="alphabet size (2..26)")
-@click.option("--ops-budget", type=int, required=True, help="max operations per word")
-@click.option("--output", type=click.Choice(["human", "json"]), default="human")
-@click.argument("out_path", type=click.Path())
 def gen(
     seed: int, n: int, k: int, sigma: int, ops_budget: int, output: str, out_path: str
-) -> None:
+) -> NoReturn:
     """Write a planted instance to OUT_PATH plus a sidecar meta JSON."""
+    from .oracle import gen_planted
+
     try:
         inst, center = gen_planted(seed, n, k, sigma, ops_budget)
     except ValueError as exc:
@@ -375,6 +327,72 @@ def gen(
     lines = [f"wrote {out_path} and {meta_path} (center {center})"]
     _emit(payload, output, lines)
     sys.exit(EXIT_FEASIBLE)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command; each flag's dest is a keyword of its command."""
+    main_parser = argparse.ArgumentParser(
+        prog="swapsensus",
+        description="Consensus-string solvers under swap and swap+substitution distances.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    main_parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = main_parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run, name: str | None = None) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name or run.__name__,
+            help=run.__doc__,
+            description=run.__doc__,
+            add_help=False,
+            allow_abbrev=False,
+        )
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        sub.add_argument("--output", choices=("human", "json"), default="human")
+        sub.set_defaults(run=run)
+        return sub
+
+    def question(sub, metric_flag: str, budgets_help: str) -> None:
+        sub.add_argument(metric_flag, dest="metric", choices=METRICS, required=True)
+        sub.add_argument("--objective", choices=_OBJECTIVES, required=True)
+        sub.add_argument("-d", metavar="d", type=int, help="radius bound")
+        sub.add_argument("-D", dest="big_d", metavar="D", type=int, help="sum bound")
+        sub.add_argument("--budgets", dest="budgets_path", metavar="PATH", help=budgets_help)
+
+    sub = command(distance)
+    sub.add_argument("--metric", choices=METRICS, required=True)
+    sub.add_argument("word1", metavar="WORD1")
+    sub.add_argument("word2", metavar="WORD2")
+
+    sub = command(consensus)
+    question(sub, "--distance", "per-word consumed budgets (hamming only)")
+    sub.add_argument("--trace", action="store_true", help="include the swap pipeline trace")
+    sub.add_argument("--dump-table", action="store_true", help="include the sum DP table")
+    sub.add_argument("input_path", metavar="INPUT_PATH")
+
+    sub = command(disentangle_cmd, "disentangle")
+    sub.add_argument("input_path", metavar="INPUT_PATH")
+
+    sub = command(oracle)
+    question(sub, "--metric", "per-word consumed budgets added to every distance")
+    sub.add_argument("input_path", metavar="INPUT_PATH")
+
+    sub = command(gen)
+    sub.add_argument("--seed", type=int, required=True, help="PRNG seed (required)")
+    sub.add_argument("-n", type=int, required=True, help="word length")
+    sub.add_argument("-k", type=int, required=True, help="word count")
+    sub.add_argument("--sigma", type=int, required=True, help="alphabet size (2..26)")
+    sub.add_argument("--ops-budget", type=int, required=True, help="max operations per word")
+    sub.add_argument("out_path", metavar="OUT_PATH")
+    return main_parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``); always exits."""
+    args = vars(_parser().parse_args(argv))
+    del args["command"]
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

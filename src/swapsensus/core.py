@@ -42,6 +42,9 @@ Word = str
 #: Infinite distance value (swap distance of non-matching words).
 INF = float("inf")
 
+#: The three distances, as the CLI and ``OracleQuery`` name them.
+METRICS = ("hamming", "swap", "swap-hamming")
+
 
 class SwapsensusError(Exception):
     """Base class for all package errors."""

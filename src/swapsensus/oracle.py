@@ -21,6 +21,7 @@ from .core import (
     ConsensusAnswer,
     INF,
     Instance,
+    METRICS,
     ReservedSymbolPresent,
     SearchStats,
     Word,
@@ -43,8 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 2_000_000
-
-METRICS = ("hamming", "swap", "swap-hamming")
 
 _DISTANCE = {
     "hamming": hamming_distance,

@@ -7,6 +7,8 @@ question's shape, for the library and the CLI alike.
 
 from __future__ import annotations
 
+from functools import cache
+from importlib import import_module
 from typing import Any
 
 from .core import (
@@ -18,33 +20,36 @@ from .core import (
     decide_sum,
     timed,
 )
-from .hamming import (
-    MixedRadiusQuery,
-    MixedRadiusSumQuery,
-    radius_consensus_ham_mixed,
-    rs_consensus_ham_mixed,
-    sum_consensus_ham,
-)
-from .pipeline import radius_consensus_swap, rs_consensus_swap, sum_consensus_swap
-from .sh_radius import radius_consensus_sh
-from .sh_sum import sum_consensus_sh
 
 __all__ = ["check_query", "solve"]
 
-# (metric, objective) -> f(instance, d, D) -> (answer, detail); the Hamming
-# entries get the instance with its budgets and return the answer alone.
+# (metric, objective) -> (module, f(module, instance, d, D) -> (answer, detail));
+# the module is imported on the pair's first use. The Hamming entries get the
+# instance with its budgets and return the answer alone.
 _SOLVERS = {
-    ("swap", "radius"): lambda inst, d, D: radius_consensus_swap(inst, d),
-    ("swap", "sum"): lambda inst, d, D: sum_consensus_swap(inst, D),
-    ("swap", "radius-sum"): lambda inst, d, D: rs_consensus_swap(inst, d, D),
-    ("swap-hamming", "radius"): lambda inst, d, D: (radius_consensus_sh(inst, d), None),
-    ("swap-hamming", "sum"): lambda inst, d, D: sum_consensus_sh(inst, D),
-    ("hamming", "radius"): lambda b, d, D: radius_consensus_ham_mixed(MixedRadiusQuery(b, d)),
-    ("hamming", "sum"): lambda b, d, D: sum_consensus_ham(b.instance),
-    ("hamming", "radius-sum"): lambda b, d, D: rs_consensus_ham_mixed(
-        MixedRadiusSumQuery(b, d, D)
+    ("swap", "radius"): ("pipeline", lambda m, inst, d, D: m.radius_consensus_swap(inst, d)),
+    ("swap", "sum"): ("pipeline", lambda m, inst, d, D: m.sum_consensus_swap(inst, D)),
+    ("swap", "radius-sum"): ("pipeline", lambda m, inst, d, D: m.rs_consensus_swap(inst, d, D)),
+    ("swap-hamming", "radius"): (
+        "sh_radius",
+        lambda m, inst, d, D: (m.radius_consensus_sh(inst, d), None),
+    ),
+    ("swap-hamming", "sum"): ("sh_sum", lambda m, inst, d, D: m.sum_consensus_sh(inst, D)),
+    ("hamming", "radius"): (
+        "hamming",
+        lambda m, b, d, D: m.radius_consensus_ham_mixed(m.MixedRadiusQuery(b, d)),
+    ),
+    ("hamming", "sum"): ("hamming", lambda m, b, d, D: m.sum_consensus_ham(b.instance)),
+    ("hamming", "radius-sum"): (
+        "hamming",
+        lambda m, b, d, D: m.rs_consensus_ham_mixed(m.MixedRadiusSumQuery(b, d, D)),
     ),
 }
+
+
+@cache
+def _module(name: str):
+    return import_module(f".{name}", __package__)
 
 
 def check_query(
@@ -87,11 +92,12 @@ def solve(
     CLI's messages.
     """
     check_query(metric, objective, d, D, budgets is not None)
-    entry = _SOLVERS[metric, objective]
+    module, entry = _SOLVERS[metric, objective]
+    m = _module(module)
     if metric != "hamming":
-        return entry(inst, d, D)
+        return entry(m, inst, d, D)
     b = BudgetedInstance(inst, budgets or (0,) * inst.k)
-    answer = entry(b, d, D)
+    answer = entry(m, b, d, D)
     if answer.feasible and any(b.budgets):
         dists = tuple(x + v for x, v in zip(b.budgets, answer.per_string_distances))
         answer = ConsensusAnswer.found(answer.solution, dists, answer.stats)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter, sleep
 
+import pytest
+
+import swapsensus
 from swapsensus import Instance, SearchStats
+from swapsensus.cli import main
 from swapsensus.core import depth_first
 from swapsensus.hamming import _radius_search
 
@@ -98,3 +107,28 @@ def radius_graph_search(answer=None) -> tuple[str | None, list[tuple]]:
         return [(0, c) for c in GRAPH[cand]] if depth < 3 else ()
 
     return _radius_search(("r",), [0], step, SearchStats()), calls
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv: list[str]) -> CliResult:
+    """Run the command line's ``main(argv)`` in this process, capturing its streams.
+
+    Every command ends in SystemExit; any other exception propagates.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(argv)
+    return CliResult(exited.value.code, out.getvalue(), err.getvalue())
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(swapsensus.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))

@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-import swapsensus
-from swapsensus.cli import main
+from conftest import child_env, run_cli
 
 TANGLED_LONG = (
     "abgabcahidabdefeda",
@@ -22,32 +18,27 @@ TANGLED_LONG = (
 )
 
 
-@pytest.fixture
-def runner() -> CliRunner:
-    return CliRunner()
-
-
 def write_lines(tmp_path, name, lines) -> str:
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
-def invoke_json(runner, args):
-    result = runner.invoke(main, args + ["--output", "json"])
+def invoke_json(args):
+    result = run_cli(args + ["--output", "json"])
     payload = json.loads(result.stdout) if result.stdout.strip() else None
     return result, payload
 
 
 class TestDistanceCommand:
-    def test_hamming_human(self, runner):
-        result = runner.invoke(main, ["distance", "--metric", "hamming", "abc", "abd"])
+    def test_hamming_human(self):
+        result = run_cli(["distance", "--metric", "hamming", "abc", "abd"])
         assert result.exit_code == 0
         assert "distance: 1" in result.stdout
 
-    def test_swap_json(self, runner):
+    def test_swap_json(self):
         result, payload = invoke_json(
-            runner, ["distance", "--metric", "swap", "abab", "baba"]
+            ["distance", "--metric", "swap", "abab", "baba"]
         )
         assert result.exit_code == 0
         assert payload == {
@@ -56,42 +47,41 @@ class TestDistanceCommand:
             "witness": {"swap_string": "101", "swaps": [1, 3]},
         }
 
-    def test_swap_non_matching_is_an_answer_not_an_error(self, runner):
+    def test_swap_non_matching_is_an_answer_not_an_error(self):
         result, payload = invoke_json(
-            runner, ["distance", "--metric", "swap", "abc", "bca"]
+            ["distance", "--metric", "swap", "abc", "bca"]
         )
         assert result.exit_code == 0
         assert payload["distance"] == "inf"
         assert payload["witness"] is None
 
-    def test_swap_hamming_json(self, runner):
+    def test_swap_hamming_json(self):
         result, payload = invoke_json(
-            runner, ["distance", "--metric", "swap-hamming", "baba", "abca"]
+            ["distance", "--metric", "swap-hamming", "baba", "abca"]
         )
         assert result.exit_code == 0
         assert payload["distance"] == 2
         assert payload["witness"] == {"swaps": [1], "substitutions": [3]}
 
-    def test_unequal_lengths_usage_error(self, runner):
-        result = runner.invoke(main, ["distance", "--metric", "hamming", "ab", "abc"])
+    def test_unequal_lengths_usage_error(self):
+        result = run_cli(["distance", "--metric", "hamming", "ab", "abc"])
         assert result.exit_code == 2
         assert "error: words must have equal length" in result.stderr
 
-    def test_empty_word_usage_error(self, runner):
-        result = runner.invoke(main, ["distance", "--metric", "hamming", "", ""])
+    def test_empty_word_usage_error(self):
+        result = run_cli(["distance", "--metric", "hamming", "", ""])
         assert result.exit_code == 2
         assert "error: words must be non-empty" in result.stderr
 
-    def test_unknown_metric_rejected_by_parser(self, runner):
-        result = runner.invoke(main, ["distance", "--metric", "edit", "ab", "ba"])
+    def test_unknown_metric_rejected_by_parser(self):
+        result = run_cli(["distance", "--metric", "edit", "ab", "ba"])
         assert result.exit_code == 2
 
 
 class TestConsensusCommand:
-    def test_swap_radius_with_trace(self, runner, tmp_path):
+    def test_swap_radius_with_trace(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", TANGLED_LONG)
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -134,20 +124,19 @@ class TestConsensusCommand:
         assert trace["consensus_bits"] == "10000001000000000"
         assert trace["decoded"] == "bagacbaihdabedfeda"
 
-    def test_swap_sum_infeasible(self, runner, tmp_path):
+    def test_swap_sum_infeasible(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ababc", "abbca", "abacb"))
         result, payload = invoke_json(
-            runner, ["consensus", "--distance", "swap", "--objective", "sum", path]
+            ["consensus", "--distance", "swap", "--objective", "sum", path]
         )
         assert result.exit_code == 1
         assert payload["status"] == "infeasible"
         assert payload["witness"] is None
         assert payload["reason"].startswith("no common matching word:")
 
-    def test_swap_hamming_radius_sum_unsupported(self, runner, tmp_path):
+    def test_swap_hamming_radius_sum_unsupported(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -164,10 +153,9 @@ class TestConsensusCommand:
         assert result.exit_code == 2
         assert "error: unsupported: open problem" in result.stderr
 
-    def test_swap_hamming_sum_with_table(self, runner, tmp_path):
+    def test_swap_hamming_sum_with_table(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("baba", "cabc", "abca"))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -186,10 +174,9 @@ class TestConsensusCommand:
         assert {"row", "swap_members", "prefix", "cost"} == set(table[0])
         assert {"row": 3, "swap_members": [], "prefix": "baba", "cost": 4} in table
 
-    def test_swap_hamming_radius(self, runner, tmp_path):
+    def test_swap_hamming_radius(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("baba", "cabc", "abca"))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -205,11 +192,10 @@ class TestConsensusCommand:
         assert payload["witness"] == "baba"
         assert payload["max_distance"] == 2
 
-    def test_hamming_radius_with_budgets(self, runner, tmp_path):
+    def test_hamming_radius_with_budgets(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
         budgets = write_lines(tmp_path, "budgets.txt", ("1", "0"))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -228,11 +214,10 @@ class TestConsensusCommand:
         assert payload["per_string_distances"] == [1, 2]
         assert payload["max_distance"] == 2
 
-    def test_hamming_budget_exceeding_radius_is_infeasible(self, runner, tmp_path):
+    def test_hamming_budget_exceeding_radius_is_infeasible(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
         budgets = write_lines(tmp_path, "budgets.txt", ("3", "0"))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -249,11 +234,10 @@ class TestConsensusCommand:
         assert result.exit_code == 1
         assert payload["reason"] == "word 1 has consumed budget 3 > d=1"
 
-    def test_hamming_rs_budget_sum_precheck(self, runner, tmp_path):
+    def test_hamming_rs_budget_sum_precheck(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
         budgets = write_lines(tmp_path, "budgets.txt", ("1", "1"))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -272,15 +256,13 @@ class TestConsensusCommand:
         assert result.exit_code == 1
         assert payload["reason"] == "consumed budgets alone sum to 2 > D=1"
 
-    def test_hamming_sum_decision(self, runner, tmp_path):
+    def test_hamming_sum_decision(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
         ok, payload = invoke_json(
-            runner,
             ["consensus", "--distance", "hamming", "--objective", "sum", "-D", "2", inst],
         )
         assert ok.exit_code == 0 and payload["sum_distance"] == 2
         no, payload = invoke_json(
-            runner,
             ["consensus", "--distance", "hamming", "--objective", "sum", "-D", "1", inst],
         )
         assert no.exit_code == 1
@@ -320,9 +302,9 @@ class TestConsensusCommand:
             ),
         ],
     )
-    def test_flag_validation(self, runner, tmp_path, args, fragment):
+    def test_flag_validation(self, tmp_path, args, fragment):
         path = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
-        result = runner.invoke(main, ["consensus", *args, path])
+        result = run_cli(["consensus", *args, path])
         assert result.exit_code == 2
         assert fragment in result.stderr
 
@@ -347,18 +329,17 @@ class TestConsensusCommand:
             ),
         ],
     )
-    def test_flag_errors_come_before_file_errors(self, runner, tmp_path, args, message):
+    def test_flag_errors_come_before_file_errors(self, tmp_path, args, message):
         # The input file does not exist, yet the flag error is the one reported.
         missing = str(tmp_path / "missing.txt")
-        result = runner.invoke(main, ["consensus", *args, missing])
+        result = run_cli(["consensus", *args, missing])
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
 
-    def test_budgets_only_with_hamming(self, runner, tmp_path):
+    def test_budgets_only_with_hamming(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
         budgets = write_lines(tmp_path, "budgets.txt", ("0", "0"))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -375,11 +356,10 @@ class TestConsensusCommand:
         assert result.exit_code == 2
         assert "--budgets is only supported with --distance hamming" in result.stderr
 
-    def test_budgets_file_errors(self, runner, tmp_path):
+    def test_budgets_file_errors(self, tmp_path):
         inst = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
         short = write_lines(tmp_path, "short.txt", ("1",))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -396,8 +376,7 @@ class TestConsensusCommand:
         assert result.exit_code == 2
         assert "lists 1 values for 2 words" in result.stderr
         negative = write_lines(tmp_path, "neg.txt", ("1", "-1"))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -413,8 +392,7 @@ class TestConsensusCommand:
         )
         assert result.exit_code == 2
         assert "negative" in result.stderr
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -431,9 +409,8 @@ class TestConsensusCommand:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: [Errno 2] ")
 
-    def test_missing_input_file(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_missing_input_file(self, tmp_path):
+        result = run_cli(
             [
                 "consensus",
                 "--distance",
@@ -446,10 +423,10 @@ class TestConsensusCommand:
         assert result.exit_code == 2
         assert result.stderr.startswith("error:")
 
-    def test_malformed_instance_file(self, runner, tmp_path):
+    def test_malformed_instance_file(self, tmp_path):
         path = write_lines(tmp_path, "bad.txt", ("ab", "abc"))
-        result = runner.invoke(
-            main, ["consensus", "--distance", "swap", "--objective", "sum", path]
+        result = run_cli(
+            ["consensus", "--distance", "swap", "--objective", "sum", path]
         )
         assert result.exit_code == 2
         assert "line 2" in result.stderr
@@ -461,10 +438,9 @@ class TestLongInputs:
     @pytest.mark.parametrize(
         "distance,sum_distance", [("hamming", 1400), ("swap", 700)]
     )
-    def test_radius_sum_over_1400_columns(self, runner, tmp_path, distance, sum_distance):
+    def test_radius_sum_over_1400_columns(self, tmp_path, distance, sum_distance):
         path = write_lines(tmp_path, "inst.txt", ("ab" * 700, "ba" * 700))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -483,12 +459,11 @@ class TestLongInputs:
         assert payload["sum_distance"] == sum_distance
 
     @pytest.mark.parametrize("distance,d", [("hamming", 699), ("swap", 349)])
-    def test_infeasible_radius_sum_over_1400_columns(self, runner, tmp_path, distance, d):
+    def test_infeasible_radius_sum_over_1400_columns(self, tmp_path, distance, d):
         # The two words are 1400 substitutions or 700 swaps apart, so a
         # radius just under half of that leaves no word within the sum bound.
         path = write_lines(tmp_path, "inst.txt", ("ab" * 700, "ba" * 700))
         result, payload = invoke_json(
-            runner,
             [
                 "consensus",
                 "--distance",
@@ -505,10 +480,9 @@ class TestLongInputs:
         assert result.exit_code == 1
         assert payload["status"] == "infeasible"
 
-    def test_hamming_radius_at_depth_1200(self, runner, tmp_path):
+    def test_hamming_radius_at_depth_1200(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("a" * 2400, "b" * 2400))
         result, payload = invoke_json(
-            runner,
             ["consensus", "--distance", "hamming", "--objective", "radius", "-d", "1200", path],
         )
         assert result.exit_code == 0
@@ -523,19 +497,19 @@ class TestLongInputs:
         ["disentangle"],
     ],
 )
-def test_non_utf8_instance_is_a_usage_error(runner, tmp_path, args):
+def test_non_utf8_instance_is_a_usage_error(tmp_path, args):
     path = tmp_path / "inst.txt"
     path.write_bytes(b"\xff\xfeab\nba\n")
-    result = runner.invoke(main, [*args, str(path)])
+    result = run_cli([*args, str(path)])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: {path}: ")
     assert "can't decode byte 0xff" in result.stderr
 
 
 class TestDisentangleCommand:
-    def test_feasible(self, runner, tmp_path):
+    def test_feasible(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("gabcahi", "gcaabih", "gcabaih"))
-        result, payload = invoke_json(runner, ["disentangle", path])
+        result, payload = invoke_json(["disentangle", path])
         assert result.exit_code == 0
         assert payload == {
             "status": "feasible",
@@ -545,9 +519,9 @@ class TestDisentangleCommand:
             "tangled_intervals": [[2, 5]],
         }
 
-    def test_infeasible(self, runner, tmp_path):
+    def test_infeasible(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ababc", "abbca", "abacb"))
-        result, payload = invoke_json(runner, ["disentangle", path])
+        result, payload = invoke_json(["disentangle", path])
         assert result.exit_code == 1
         assert payload["status"] == "infeasible"
         assert payload["column"] == 3
@@ -558,19 +532,17 @@ ONLY_RADIUS_SUM = "-D is only valid with --objective radius-sum"
 
 
 class TestOracleCommand:
-    def test_hamming_radius(self, runner, tmp_path):
+    def test_hamming_radius(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
         result, payload = invoke_json(
-            runner,
             ["oracle", "--metric", "hamming", "--objective", "radius", "-d", "1", path],
         )
         assert result.exit_code == 0
         assert payload["witness"] == "ab"
 
-    def test_swap_radius_sum(self, runner, tmp_path):
+    def test_swap_radius_sum(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("abab", "baba"))
         result, payload = invoke_json(
-            runner,
             [
                 "oracle",
                 "--metric",
@@ -588,10 +560,9 @@ class TestOracleCommand:
         assert payload["witness"] == "abab"
         assert payload["sum_distance"] == 2
 
-    def test_big_d_requires_radius_sum(self, runner, tmp_path):
+    def test_big_d_requires_radius_sum(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ab",))
-        result = runner.invoke(
-            main,
+        result = run_cli(
             ["oracle", "--metric", "hamming", "--objective", "sum", "-D", "2", path],
         )
         assert result.exit_code == 2
@@ -611,27 +582,26 @@ class TestOracleCommand:
             (["--objective", "radius-sum", "-d", "1", "-D", "-1"], "-D must be non-negative"),
         ],
     )
-    def test_flag_errors(self, runner, tmp_path, args, message):
+    def test_flag_errors(self, tmp_path, args, message):
         missing = str(tmp_path / "missing.txt")
-        result = runner.invoke(main, ["oracle", "--metric", "hamming", *args, missing])
+        result = run_cli(["oracle", "--metric", "hamming", *args, missing])
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
 
-    def test_cap_environment_variable(self, runner, tmp_path):
+    def test_cap_environment_variable(self, tmp_path):
         # The cap is fixed: 4 symbols at n=11 are 4,194,304 words, above it.
         path = write_lines(tmp_path, "inst.txt", ("abcdabcdabc", "dcbadcbadcb"))
-        result = runner.invoke(
-            main, ["oracle", "--metric", "hamming", "--objective", "sum", path]
+        result = run_cli(
+            ["oracle", "--metric", "hamming", "--objective", "sum", path]
         )
         assert result.exit_code == 2
         assert result.stderr == (
             "error: enumeration of 4194304 words exceeds the cap of 2000000\n"
         )
 
-    def test_oracle_infeasible_exit(self, runner, tmp_path):
+    def test_oracle_infeasible_exit(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("aa", "bb"))
         result, payload = invoke_json(
-            runner,
             ["oracle", "--metric", "swap", "--objective", "radius", "-d", "3", path],
         )
         assert result.exit_code == 1
@@ -639,10 +609,9 @@ class TestOracleCommand:
 
 
 class TestGenCommand:
-    def test_writes_instance_and_sidecar(self, runner, tmp_path):
+    def test_writes_instance_and_sidecar(self, tmp_path):
         out = tmp_path / "inst.txt"
         result, payload = invoke_json(
-            runner,
             [
                 "gen",
                 "--seed",
@@ -673,9 +642,8 @@ class TestGenCommand:
             "center": "babcaa",
         }
 
-    def test_seed_is_required(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_seed_is_required(self, tmp_path):
+        result = run_cli(
             [
                 "gen",
                 "-n",
@@ -691,9 +659,8 @@ class TestGenCommand:
         )
         assert result.exit_code == 2
 
-    def test_invalid_sigma(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_invalid_sigma(self, tmp_path):
+        result = run_cli(
             [
                 "gen",
                 "--seed",
@@ -712,10 +679,9 @@ class TestGenCommand:
         assert result.exit_code == 2
         assert "sigma" in result.stderr
 
-    def test_output_directory_missing(self, runner, tmp_path):
+    def test_output_directory_missing(self, tmp_path):
         out = tmp_path / "missing" / "x.txt"
-        result = runner.invoke(
-            main,
+        result = run_cli(
             [
                 "gen",
                 "--seed",
@@ -743,15 +709,127 @@ def test_installed_entry_point():
     else:
         cmd = [exe]
     # The child imports this checkout's package, whether or not it is installed.
-    src = str(Path(swapsensus.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         cmd + ["distance", "--metric", "swap", "--output", "json", "abab", "baba"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distance"] == 2
+
+
+class TestParser:
+    FLAGS = {
+        "distance": ["--metric", "--output", "WORD1", "WORD2"],
+        "consensus": [
+            "--distance", "--objective", "-d", "-D", "--budgets", "--trace",
+            "--dump-table", "--output", "INPUT_PATH",
+        ],
+        "disentangle": ["--output", "INPUT_PATH"],
+        "oracle": ["--metric", "--objective", "-d", "-D", "--budgets", "--output", "INPUT_PATH"],
+        "gen": ["--seed", "-n", "-k", "--sigma", "--ops-budget", "--output", "OUT_PATH"],
+    }
+
+    def test_main_help_names_every_command(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith("usage: swapsensus")
+        for command in self.FLAGS:
+            assert command in result.stdout
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_command_help_names_its_flags(self, command):
+        result = run_cli([command, "--help"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith(f"usage: swapsensus {command}")
+        for flag in self.FLAGS[command]:
+            assert f" {flag}" in result.stdout, flag
+
+    @pytest.mark.parametrize(
+        "args,fragment",
+        [
+            (["consensus", "--dist", "swap", "--objective", "radius", "-d", "1", "x"], "--dist"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            ([], "required: COMMAND"),
+            (["consensus", "--objective", "radius", "-d", "1", "x"], "required: --distance"),
+            (["gen", "-n", "4", "-k", "2", "--sigma", "2", "--ops-budget", "1", "x"], "--seed"),
+            (["consensus", "--distance", "swap", "--objective", "radius", "-d", "x", "x"], "'x'"),
+            (["oracle", "--metric", "edit", "--objective", "radius", "-d", "1", "x"], "'edit'"),
+        ],
+    )
+    def test_parser_errors_exit_2_with_usage(self, args, fragment):
+        # The parser rejects these before any file is read.
+        result = run_cli(args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("usage: swapsensus")
+        assert "error:" in result.stderr and fragment in result.stderr
+
+
+# The command in a fresh interpreter, run as ``python -m swapsensus.cli``
+# would run it. Prints its exit code, the package's modules it loaded, and
+# the modules it loaded from outside the package and the standard library.
+LOADED_MODULES = """
+import contextlib, io, json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["swapsensus", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("swapsensus.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+ours = sorted(m for m in sys.modules if m.split(".")[0] == "swapsensus")
+top = {m.split(".")[0] for m in set(sys.modules) - before}
+print(json.dumps([code, ours, sorted(top - sys.stdlib_module_names - {"swapsensus"})]))
+"""
+
+# Solver modules, which a command loads only if it runs them.
+SOLVERS = {"swapsensus." + m for m in ("oracle", "pipeline", "sh_sum", "sh_radius", "solve")}
+HAMMING = ["consensus", "--distance", "hamming", "--objective"]
+# name -> (arguments, INST standing for an instance file; exit code; modules not loaded)
+LOADS = {
+    "distance-hamming": (["distance", "--metric", "hamming", "abab", "baba"], 0, SOLVERS),
+    "distance-swap": (["distance", "--metric", "swap", "abab", "baba"], 0, SOLVERS),
+    "distance-sh": (["distance", "--metric", "swap-hamming", "abab", "baba"], 0, SOLVERS),
+    "disentangle": (["disentangle", "INST"], 0, SOLVERS),
+    "hamming-radius": ([*HAMMING, "radius", "-d", "1", "INST"], 0, SOLVERS - {"swapsensus.solve"}),
+    "hamming-sum": ([*HAMMING, "sum", "INST"], 0, SOLVERS - {"swapsensus.solve"}),
+    "hamming-rs": (
+        [*HAMMING, "radius-sum", "-d", "1", "-D", "2", "INST"], 0, SOLVERS - {"swapsensus.solve"}
+    ),
+    "swap-radius": (
+        ["consensus", "--distance", "swap", "--objective", "radius", "-d", "0", "INST"],
+        1,
+        {"swapsensus.oracle", "swapsensus.sh_sum", "swapsensus.sh_radius"},
+    ),
+}
+
+
+class TestModulesLoaded:
+    @pytest.mark.parametrize("case", LOADS)
+    def test_a_command_loads_only_what_it_runs(self, tmp_path, case):
+        args, code, forbidden = LOADS[case]
+        path = write_lines(tmp_path, "inst.txt", ("ab", "ba"))
+        argv = [path if a == "INST" else a for a in args]
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        exit_code, loaded, foreign = json.loads(proc.stdout)
+        assert exit_code == code
+        assert foreign == []  # the parser is the standard library's
+        assert "swapsensus.core" in loaded
+        assert not forbidden & set(loaded), sorted(forbidden & set(loaded))
+        if args[0] == "distance":
+            assert set(loaded) == {
+                "swapsensus",
+                "swapsensus.core",
+                "swapsensus.hamming",
+                "swapsensus.sh_metric",
+                "swapsensus.swaps",
+            }

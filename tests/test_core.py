@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import math
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import GRAPH, plain_graph_walk, radius_graph_search
+from conftest import GRAPH, child_env, plain_graph_walk, radius_graph_search
 import swapsensus
 from swapsensus import (
     INF,
@@ -192,6 +195,28 @@ class TestMisc:
         }
         for module, name in patched:
             assert hasattr(importlib.import_module(f"swapsensus.{module}"), name)
+
+    def test_function_names_hold_in_every_import_order(self):
+        # Importing a submodule binds it on the package by its name; the
+        # names disentangle and solve still give the functions.
+        code = (
+            "import json, swapsensus.cli, swapsensus.disentangle, swapsensus.solve\n"
+            "import swapsensus as sw\n"
+            "from swapsensus import disentangle, hamming, solve\n"
+            "print(json.dumps([type(x).__name__ for x in "
+            "(sw.disentangle, sw.solve, disentangle, solve, hamming)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["function"] * 4 + ["module"]
+        assert swapsensus.disentangle.__module__ == "swapsensus.disentangle"
+        assert swapsensus.solve.__module__ == "swapsensus.solve"
 
 
 class TestDepthFirst:

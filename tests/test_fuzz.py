@@ -10,14 +10,14 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_cli
 from swapsensus import Instance, SwapsensusError, parse_instance
-from swapsensus.cli import main
 
-# Each example runs click's runner, so no per-example deadline; derandomized,
-# with no example database, so every run draws the same examples.
+# Each example runs the command line's main in this process, so no
+# per-example deadline; derandomized, with no example database, so every run
+# draws the same examples.
 FUZZ = settings(deadline=None, derandomize=True, database=None, max_examples=400)
 
 symbols = st.one_of(st.sampled_from("abc \t#"), st.characters(codec="utf-8"))
@@ -76,14 +76,12 @@ def run(argv: list[str], instance: bytes, budgets: bytes | None):
             budgets_path = Path(tmp) / "budgets.txt"
             budgets_path.write_bytes(budgets)
             argv = [*argv, "--budgets", str(budgets_path)]
-        return CliRunner().invoke(main, [*argv, str(inst_path)])
+        return run_cli([*argv, str(inst_path)])
 
 
 def assert_clean_exit(result) -> None:
-    assert result.exit_code in (0, 1, 2), result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        result.exception
-    )
+    # run_cli lets any exception but SystemExit propagate, failing the example.
+    assert result.exit_code in (0, 1, 2), result.stdout + result.stderr
     if result.exit_code == 2:
         assert result.stderr.startswith("error:"), result.stderr
 

@@ -118,7 +118,7 @@ class TestAgainstEnumeration:
                 nonlocal sh_cuts
                 assert depth <= 2 * d  # the two prunes alone keep it there
                 moves = step(cand, dists, depth)
-                if moves == () and depth < 2 * d and max(dists) <= 4 * d - depth:
+                if moves == () and max(dists) <= 4 * d - depth:
                     sh_cuts += 1
                 return moves
 
@@ -142,7 +142,7 @@ class TestAgainstEnumeration:
                 )
                 assert ans.max_distance <= d
             cut_instances += sh_cuts > 0
-        assert cut_instances > 100 and 100 < feasible_seen < 900
+        assert cut_instances > 250 and 100 < feasible_seen < 900
 
     def test_witness_within_search_depth_of_root(self):
         # Every branch step edits at most two adjacent positions, and the
