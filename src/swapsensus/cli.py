@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -224,7 +223,7 @@ def consensus(
     if trace and detail is not None:
         extra = {"trace": _trace_payload(detail)}
     elif dump_table:
-        extra = {"table": [asdict(st) for st in detail]}
+        extra = {"table": [st.as_dict() for st in detail]}
     _finish(answer, output, extra)
 
 

@@ -10,7 +10,6 @@ indexes 0-based.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from functools import wraps
 from typing import Callable, Iterable, TypeVar
 
@@ -131,19 +130,61 @@ def check_bounds(objective: str, d: int | None, D: int | None) -> None:
         raise InvalidQuery("-D must be non-negative")
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Record:
+    """Value semantics for the package's records, without importing ``dataclasses``.
+
+    A subclass lists its fields in order as ``__slots__``, and its
+    ``__init__`` sets them with ``object.__setattr__``, since a record is
+    read-only: assigning or deleting a field raises ``AttributeError``.
+    Records are equal when their types and field values are, hash over
+    their fields and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # Rebuild through __init__: the default pickling assigns the fields.
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def as_dict(self) -> dict[str, object]:
+        """The fields by name, in order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class Instance(_Record):
     """k equal-length words; the alphabet is exactly the symbols they use."""
 
-    words: tuple[Word, ...]
+    __slots__ = ("words",)
 
-    def __post_init__(self) -> None:
-        if not self.words:
+    def __init__(self, words: tuple[Word, ...]) -> None:
+        object.__setattr__(self, "words", words)
+        if not words:
             raise EmptyInstance("instance contains no words")
-        n = len(self.words[0])
+        n = len(words[0])
         if n == 0:
             raise EmptyInstance("zero-length word at line 1")
-        for idx, w in enumerate(self.words):
+        for idx, w in enumerate(words):
             if len(w) == 0:
                 raise EmptyInstance(f"zero-length word at line {idx + 1}")
             if len(w) != n:
@@ -163,37 +204,46 @@ class Instance:
         return tuple(sorted({c for w in self.words for c in w}))
 
 
-@dataclass(frozen=True)
-class BudgetedInstance:
+class BudgetedInstance(_Record):
     """An instance with per-string consumed budgets, aligned with the words."""
 
-    instance: Instance
-    budgets: tuple[int, ...]
+    __slots__ = ("instance", "budgets")
 
-    def __post_init__(self) -> None:
-        if len(self.budgets) != self.instance.k:
-            raise LengthMismatch(
-                f"{len(self.budgets)} budgets for {self.instance.k} words"
-            )
-        if any(x < 0 for x in self.budgets):
+    def __init__(self, instance: Instance, budgets: tuple[int, ...]) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "budgets", budgets)
+        if len(budgets) != instance.k:
+            raise LengthMismatch(f"{len(budgets)} budgets for {instance.k} words")
+        if any(x < 0 for x in budgets):
             raise ValueError("budgets must be non-negative")
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """Counters reported by solvers; all costs are recomputed, never these.
 
     ``elapsed`` is the wall time in seconds of the whole public call that
     returned the answer, early exits and certification included.
     """
 
-    nodes_expanded: int = 0
-    dp_states: int = 0
-    oracle_enumerated: int = 0
-    elapsed: float = 0.0
+    __slots__ = ("nodes_expanded", "dp_states", "oracle_enumerated", "elapsed")
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+    # The counters are bumped once per search node, so they are assigned
+    # directly, and a mutable record has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        nodes_expanded: int = 0,
+        dp_states: int = 0,
+        oracle_enumerated: int = 0,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.nodes_expanded = nodes_expanded
+        self.dp_states = dp_states
+        self.oracle_enumerated = oracle_enumerated
+        self.elapsed = elapsed
 
 
 def _check_stats(stats: SearchStats) -> SearchStats:
@@ -202,22 +252,42 @@ def _check_stats(stats: SearchStats) -> SearchStats:
     return stats
 
 
-@dataclass(frozen=True)
-class ConsensusAnswer:
+class ConsensusAnswer(_Record):
     """Outcome of a consensus solve: a certified witness or an infeasibility report.
 
     When feasible, ``per_string_distances`` (and therefore ``max_distance`` and
     ``sum_distance``) are recomputed from the solution by the relevant distance
-    function; they are never echoed from internal search state.
+    function; they are never echoed from internal search state. ``stats``
+    defaults to fresh counters.
     """
 
-    feasible: bool
-    solution: Word | None
-    per_string_distances: tuple[float, ...] | None
-    max_distance: float | None
-    sum_distance: float | None
-    stats: SearchStats = field(default_factory=SearchStats)
-    reason: str | None = None
+    __slots__ = (
+        "feasible",
+        "solution",
+        "per_string_distances",
+        "max_distance",
+        "sum_distance",
+        "stats",
+        "reason",
+    )
+
+    def __init__(
+        self,
+        feasible: bool,
+        solution: Word | None,
+        per_string_distances: tuple[float, ...] | None,
+        max_distance: float | None,
+        sum_distance: float | None,
+        stats: SearchStats | None = None,
+        reason: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "per_string_distances", per_string_distances)
+        object.__setattr__(self, "max_distance", max_distance)
+        object.__setattr__(self, "sum_distance", sum_distance)
+        object.__setattr__(self, "stats", SearchStats() if stats is None else stats)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def status(self) -> str:

@@ -23,35 +23,45 @@ swap pipeline solves on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import Instance, NotMatching, Word
+from .core import Instance, NotMatching, Word, _Record
 from .swaps import SwapStr, swap_string
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
 
-@dataclass(frozen=True)
-class Disentanglement:
+class Disentanglement(_Record):
     """Pairwise-matching words, per-string swap budgets, and where they came from.
 
     ``encoded`` holds each result's swap string against the first result, as
     certified by the safety net.
     """
 
-    strings_prime: tuple[Word, ...]
-    budgets: tuple[int, ...]
-    total: int
-    tangled_intervals: tuple[tuple[int, int], ...]  # 1-based inclusive
-    encoded: tuple[SwapStr, ...]
+    __slots__ = ("strings_prime", "budgets", "total", "tangled_intervals", "encoded")
+
+    def __init__(
+        self,
+        strings_prime: tuple[Word, ...],
+        budgets: tuple[int, ...],
+        total: int,
+        tangled_intervals: tuple[tuple[int, int], ...],  # 1-based inclusive
+        encoded: tuple[SwapStr, ...],
+    ) -> None:
+        object.__setattr__(self, "strings_prime", strings_prime)
+        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "tangled_intervals", tangled_intervals)
+        object.__setattr__(self, "encoded", encoded)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(_Record):
     """No word matches every input; reason names the violating column."""
 
-    reason: str
-    column: int | None = None
+    __slots__ = ("reason", "column")
+
+    def __init__(self, reason: str, column: int | None = None) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "column", column)
 
 
 def disentangle(inst: Instance) -> Disentanglement | Infeasible:

@@ -10,7 +10,6 @@ admissible pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
@@ -23,6 +22,7 @@ from .core import (
     LengthMismatch,
     SearchStats,
     Word,
+    _Record,
     check_bounds,
     depth_first,
     timed,
@@ -38,31 +38,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MixedRadiusQuery:
+class MixedRadiusQuery(_Record):
     """Radius consensus where word s_i must end up within d - x_i (none if x_i > d)."""
 
-    budgeted: BudgetedInstance
-    d: int
+    __slots__ = ("budgeted", "d")
 
-    def __post_init__(self) -> None:
-        check_bounds("radius", self.d, None)
+    def __init__(self, budgeted: BudgetedInstance, d: int) -> None:
+        object.__setattr__(self, "budgeted", budgeted)
+        object.__setattr__(self, "d", d)
+        check_bounds("radius", d, None)
 
 
-@dataclass(frozen=True)
-class MixedRadiusSumQuery:
+class MixedRadiusSumQuery(_Record):
     """Radius+sum consensus with per-string budgets x_i.
 
     Constraints on a witness t: hamming(s_i, t) <= d - x_i for every i, and
     sum_i hamming(s_i, t) <= D - sum_i x_i. Budgets beyond d or D leave none.
     """
 
-    budgeted: BudgetedInstance
-    d: int
-    D: int
+    __slots__ = ("budgeted", "d", "D")
 
-    def __post_init__(self) -> None:
-        check_bounds("radius-sum", self.d, self.D)
+    def __init__(self, budgeted: BudgetedInstance, d: int, D: int) -> None:
+        object.__setattr__(self, "budgeted", budgeted)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "D", D)
+        check_bounds("radius-sum", d, D)
 
 
 def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str | None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from dataclasses import dataclass
 
 from .core import (
     BudgetedInstance,
@@ -25,6 +24,7 @@ from .core import (
     ReservedSymbolPresent,
     SearchStats,
     Word,
+    _Record,
     check_bounds,
     timed,
 )
@@ -52,31 +52,35 @@ _DISTANCE = {
 }
 
 
-@dataclass(frozen=True)
-class Radius:
+class Radius(_Record):
     """Decide whether some word is within distance d of every input."""
 
-    d: int
+    __slots__ = ("d",)
+
+    def __init__(self, d: int) -> None:
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Record):
     """Minimize the total distance to all inputs."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RadiusSum:
+
+class RadiusSum(_Record):
     """Within radius d, minimize the total distance and compare it to D."""
 
-    d: int
-    D: int
+    __slots__ = ("d", "D")
+
+    def __init__(self, d: int, D: int) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "D", D)
 
 
 Objective = Radius | Sum | RadiusSum
 
 
-@dataclass(frozen=True)
-class OracleQuery:
+class OracleQuery(_Record):
     """A fully specified question for the brute-force reference solver.
 
     Optional per-word budgets are added to every computed distance, mirroring
@@ -84,22 +88,28 @@ class OracleQuery:
     rejected up front when the enumeration space exceeds ``DEFAULT_CAP``.
     """
 
-    instance: Instance
-    metric: str
-    objective: Objective
-    budgets: tuple[int, ...] | None = None
+    __slots__ = ("instance", "metric", "objective", "budgets")
 
-    def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        obj = self.objective
-        if isinstance(obj, Radius):
-            check_bounds("radius", obj.d, None)
-        elif isinstance(obj, RadiusSum):
-            check_bounds("radius-sum", obj.d, obj.D)
-        if self.budgets is not None:
-            BudgetedInstance(self.instance, self.budgets)  # validates the budgets
-        space = len(self.instance.alphabet) ** self.instance.n
+    def __init__(
+        self,
+        instance: Instance,
+        metric: str,
+        objective: Objective,
+        budgets: tuple[int, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "budgets", budgets)
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
+        if isinstance(objective, Radius):
+            check_bounds("radius", objective.d, None)
+        elif isinstance(objective, RadiusSum):
+            check_bounds("radius-sum", objective.d, objective.D)
+        if budgets is not None:
+            BudgetedInstance(instance, budgets)  # validates the budgets
+        space = len(instance.alphabet) ** instance.n
         if space > DEFAULT_CAP:
             raise CapExceeded(
                 f"enumeration of {space} words exceeds the cap of {DEFAULT_CAP}"

@@ -21,7 +21,6 @@ implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     Instance,
     SearchStats,
     Word,
+    _Record,
     check_bounds,
     decide_sum,
     timed,
@@ -53,14 +53,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwapPipelineTrace:
+class SwapPipelineTrace(_Record):
     """The full pipeline state of a solve: the output of stages 1 to 4."""
 
-    disentanglement: Disentanglement
-    encoded: tuple[SwapStr, ...]
-    h_star: SwapStr
-    decoded: Word
+    __slots__ = ("disentanglement", "encoded", "h_star", "decoded")
+
+    def __init__(
+        self,
+        disentanglement: Disentanglement,
+        encoded: tuple[SwapStr, ...],
+        h_star: SwapStr,
+        decoded: Word,
+    ) -> None:
+        object.__setattr__(self, "disentanglement", disentanglement)
+        object.__setattr__(self, "encoded", encoded)
+        object.__setattr__(self, "h_star", h_star)
+        object.__setattr__(self, "decoded", decoded)
 
 
 def _certify_budget_additivity(

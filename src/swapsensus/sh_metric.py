@@ -11,17 +11,15 @@ resolved canonically as the greedy witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
-from .core import LengthMismatch, Word
+from .core import LengthMismatch, Word, _Record
 
 __all__ = ["SHWitness", "sh_distance", "sh_cost"]
 
 
-@dataclass(frozen=True)
-class SHWitness:
+class SHWitness(_Record):
     """An optimal decomposition: swap positions and substitution positions.
 
     Both tuples are ascending and 1-based; swap positions are pairwise
@@ -30,8 +28,11 @@ class SHWitness:
     symbols at the substitution positions yields the target.
     """
 
-    swaps: tuple[int, ...]
-    substitutions: tuple[int, ...]
+    __slots__ = ("swaps", "substitutions")
+
+    def __init__(self, swaps: tuple[int, ...], substitutions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "swaps", swaps)
+        object.__setattr__(self, "substitutions", substitutions)
 
     @property
     def cost(self) -> int:

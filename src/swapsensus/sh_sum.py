@@ -32,7 +32,6 @@ first read; only then do masks become its sorted 1-based index tuples.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
@@ -43,6 +42,7 @@ from .core import (
     Instance,
     SearchStats,
     Word,
+    _Record,
     check_bounds,
     decide_sum,
     timed,
@@ -52,8 +52,7 @@ from .sh_metric import sh_cost
 __all__ = ["DPState", "sum_consensus_sh"]
 
 
-@dataclass(frozen=True)
-class DPState:
+class DPState(_Record):
     """One settled table entry: the best prefix reaching this swap set.
 
     ``row`` is 0-based and equals the prefix length minus one (also the
@@ -63,10 +62,15 @@ class DPState:
     prefixes of the input words.
     """
 
-    row: int
-    swap_members: tuple[int, ...]
-    prefix: Word
-    cost: int
+    __slots__ = ("row", "swap_members", "prefix", "cost")
+
+    def __init__(
+        self, row: int, swap_members: tuple[int, ...], prefix: Word, cost: int
+    ) -> None:
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "swap_members", swap_members)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cost", cost)
 
 
 # The characters "0"/"1" to the bytes 0/1, which compress() reads as selectors.

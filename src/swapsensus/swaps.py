@@ -10,11 +10,10 @@ a swap there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
-from .core import INF, LengthMismatch, NotMatching, Word
+from .core import INF, LengthMismatch, NotMatching, Word, _Record
 
 __all__ = [
     "SwapStr",
@@ -28,26 +27,24 @@ __all__ = [
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class SwapStr:
+class SwapStr(_Record):
     """A valid swap permutation: bits of length home_length-1, no "11".
 
     home_length is stored so length-1 words (empty bit sequence) remain
     representable.
     """
 
-    bits: str
-    home_length: int
+    __slots__ = ("bits", "home_length")
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.home_length - 1:
-            raise LengthMismatch(
-                f"{len(self.bits)} bits for home length {self.home_length}"
-            )
-        if self.bits.count("0") + self.bits.count("1") != len(self.bits):
-            raise ValueError(f"non-binary swap string {self.bits!r}")
-        if "11" in self.bits:
-            raise ValueError(f"adjacent swaps in {self.bits!r}")
+    def __init__(self, bits: str, home_length: int) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "home_length", home_length)
+        if len(bits) != home_length - 1:
+            raise LengthMismatch(f"{len(bits)} bits for home length {home_length}")
+        if bits.count("0") + bits.count("1") != len(bits):
+            raise ValueError(f"non-binary swap string {bits!r}")
+        if "11" in bits:
+            raise ValueError(f"adjacent swaps in {bits!r}")
 
     def ones(self) -> tuple[int, ...]:
         """1-based swap positions."""

@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -151,6 +152,100 @@ class TestConsensusAnswer:
     def test_stats_dict_keys(self):
         keys = set(SearchStats().as_dict())
         assert keys == {"nodes_expanded", "dp_states", "oracle_enumerated", "elapsed"}
+
+
+def _records() -> dict[str, tuple[type, dict]]:
+    """One valid record of each kind: its class and its fields in order."""
+    inst = Instance(("ab", "ba"))
+    budgeted = BudgetedInstance(inst, (0, 1))
+    enc = (swapsensus.SwapStr("1", 2), swapsensus.SwapStr("0", 2))
+    dz = swapsensus.Disentanglement(("ab", "ab"), (1, 0), 1, ((1, 2),), enc)
+    fields = {
+        Instance: {"words": ("a",)},
+        BudgetedInstance: {"instance": inst, "budgets": (0, 1)},
+        SearchStats: {"nodes_expanded": 1, "dp_states": 2, "oracle_enumerated": 3, "elapsed": 0.5},
+        ConsensusAnswer: {
+            "feasible": True,
+            "solution": "ab",
+            "per_string_distances": (0, 1),
+            "max_distance": 1,
+            "sum_distance": 1,
+            "stats": SearchStats(nodes_expanded=4),
+            "reason": None,
+        },
+        swapsensus.Disentanglement: {
+            "strings_prime": ("ab", "ab"),
+            "budgets": (1, 0),
+            "total": 1,
+            "tangled_intervals": ((1, 2),),
+            "encoded": enc,
+        },
+        swapsensus.Infeasible: {"reason": "column 2", "column": 2},
+        swapsensus.MixedRadiusQuery: {"budgeted": budgeted, "d": 1},
+        swapsensus.MixedRadiusSumQuery: {"budgeted": budgeted, "d": 1, "D": 2},
+        swapsensus.Radius: {"d": 1},
+        swapsensus.Sum: {},
+        swapsensus.RadiusSum: {"d": 1, "D": 1},
+        swapsensus.OracleQuery: {
+            "instance": inst,
+            "metric": "swap",
+            "objective": swapsensus.Radius(1),
+            "budgets": (0, 1),
+        },
+        swapsensus.SwapPipelineTrace: {
+            "disentanglement": dz,
+            "encoded": enc,
+            "h_star": swapsensus.SwapStr("0", 2),
+            "decoded": "ab",
+        },
+        swapsensus.SHWitness: {"swaps": (1,), "substitutions": (3,)},
+        swapsensus.DPState: {"row": 1, "swap_members": (2,), "prefix": "ba", "cost": 1},
+        swapsensus.SwapStr: {"bits": "010", "home_length": 4},
+    }
+    return {cls.__name__: (cls, f) for cls, f in fields.items()}
+
+
+RECORDS = list(_records())
+# SearchStats can change and ConsensusAnswer holds one, so neither hashes.
+UNHASHABLE = {"SearchStats", "ConsensusAnswer"}
+REPRS = {
+    "Instance": "Instance(words=('a',))",
+    "SHWitness": "SHWitness(swaps=(1,), substitutions=(3,))",  # as in the README
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_records_keep_value_semantics(self, name):
+        cls, fields = _records()[name]
+        rec = cls(**fields)
+        twin = cls(**_records()[name][1])  # equal fields, other objects
+        assert list(rec.as_dict().items()) == list(fields.items())
+        assert rec == twin and not rec != twin
+        assert rec != tuple(fields.values())
+        # Radius(1) and RadiusSum(1, 1) among them
+        others = [c(**f) for other, (c, f) in _records().items() if other != name]
+        assert all(rec != o and o != rec for o in others)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        inner = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(rec) == REPRS.get(name, f"{name}({inner})")
+        field = next(iter(fields), "d")
+        if name == "SearchStats":
+            rec.nodes_expanded += 1
+            rec.elapsed = 2.0
+            assert rec.as_dict() == {**fields, "nodes_expanded": 2, "elapsed": 2.0}
+            assert rec != twin
+        else:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+            assert rec == twin
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(rec) == hash(twin)
 
 
 class TestMisc:
