@@ -131,7 +131,7 @@ def check_bounds(objective: str, d: int | None, D: int | None) -> None:
 
 
 class _Record:
-    """Value semantics for the package's records, without importing ``dataclasses``.
+    """Value semantics for the package's records, written out so importing is cheap.
 
     A subclass lists its fields in order as ``__slots__``, and its
     ``__init__`` sets them with ``object.__setattr__``, since a record is
@@ -154,7 +154,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
