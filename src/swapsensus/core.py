@@ -55,9 +55,9 @@ class UnequalLengths(SwapsensusError):
     ``line`` is the 1-based line/word index at which the mismatch was seen.
     """
 
-    def __init__(self, line: int, message: str | None = None):
+    def __init__(self, line: int):
         self.line = line
-        super().__init__(message or f"word at line {line} has a different length")
+        super().__init__(f"word at line {line} has a different length")
 
 
 class EmptyInstance(SwapsensusError):
@@ -130,17 +130,54 @@ def check_bounds(objective: str, d: int | None, D: int | None) -> None:
         raise InvalidQuery("-D must be non-negative")
 
 
+# Sets a field of a read-only record; one global lookup, not two, per field.
+_set_field = object.__setattr__
+
+
 class _Record:
     """Value semantics for the package's records, written out so importing is cheap.
 
-    A subclass lists its fields in order as ``__slots__``, and its
-    ``__init__`` sets them with ``object.__setattr__``, since a record is
-    read-only: assigning or deleting a field raises ``AttributeError``.
-    Records are equal when their types and field values are, hash over
-    their fields and print as ``Name(field=value, ...)``.
+    A subclass lists its fields in order as ``__slots__`` and the values of
+    its optional ones in ``_defaults``. The one ``__init__`` here binds its
+    arguments to the fields as a signature with those defaults would, sets
+    them with ``object.__setattr__``, since a record is read-only (assigning
+    or deleting a field raises ``AttributeError``), and then runs the
+    subclass's ``_check``. Records are equal when their types and field
+    values are, hash over their fields and print as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        self._check()
+
+    def _bind(self, args: tuple, kwargs: dict[str, object]) -> tuple:
+        """The field values in order, or the ``TypeError`` a call would raise."""
+        names, call = self.__slots__, f"{type(self).__name__}()"
+        if len(args) > len(names):
+            raise TypeError(
+                f"{call} takes {len(names)} positional arguments but {len(args)} were given"
+            )
+        values = {**self._defaults, **dict(zip(names, args))}
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if name in names[: len(args)]:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{call} missing required arguments: {', '.join(missing)}")
+        return tuple(values[name] for name in names)
+
+    def _check(self) -> None:
+        """Reject invalid field values; records with a rule override this."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -177,8 +214,8 @@ class Instance(_Record):
 
     __slots__ = ("words",)
 
-    def __init__(self, words: tuple[Word, ...]) -> None:
-        object.__setattr__(self, "words", words)
+    def _check(self) -> None:
+        words = self.words
         if not words:
             raise EmptyInstance("instance contains no words")
         n = len(words[0])
@@ -209,9 +246,8 @@ class BudgetedInstance(_Record):
 
     __slots__ = ("instance", "budgets")
 
-    def __init__(self, instance: Instance, budgets: tuple[int, ...]) -> None:
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "budgets", budgets)
+    def _check(self) -> None:
+        instance, budgets = self.instance, self.budgets
         if len(budgets) != instance.k:
             raise LengthMismatch(f"{len(budgets)} budgets for {instance.k} words")
         if any(x < 0 for x in budgets):
@@ -228,7 +264,9 @@ class SearchStats(_Record):
     __slots__ = ("nodes_expanded", "dp_states", "oracle_enumerated", "elapsed")
 
     # The counters are bumped once per search node, so they are assigned
-    # directly, and a mutable record has no hash.
+    # directly, and a mutable record has no hash. Every solve builds a bare
+    # SearchStats(), which the base's keyword binder would make more than ten
+    # times dearer, so the record keeps its own __init__.
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -271,23 +309,11 @@ class ConsensusAnswer(_Record):
         "reason",
     )
 
-    def __init__(
-        self,
-        feasible: bool,
-        solution: Word | None,
-        per_string_distances: tuple[float, ...] | None,
-        max_distance: float | None,
-        sum_distance: float | None,
-        stats: SearchStats | None = None,
-        reason: str | None = None,
-    ) -> None:
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "per_string_distances", per_string_distances)
-        object.__setattr__(self, "max_distance", max_distance)
-        object.__setattr__(self, "sum_distance", sum_distance)
-        object.__setattr__(self, "stats", SearchStats() if stats is None else stats)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"stats": None, "reason": None}
+
+    def _check(self) -> None:
+        if self.stats is None:
+            _set_field(self, "stats", SearchStats())
 
     @property
     def status(self) -> str:
@@ -300,24 +326,19 @@ class ConsensusAnswer(_Record):
         stats: SearchStats | None = None,
     ) -> "ConsensusAnswer":
         return ConsensusAnswer(
-            feasible=True,
-            solution=solution,
-            per_string_distances=per_string_distances,
-            max_distance=max(per_string_distances),
-            sum_distance=sum(per_string_distances),
-            stats=_check_stats(stats or SearchStats()),
+            True,
+            solution,
+            per_string_distances,
+            max(per_string_distances),
+            sum(per_string_distances),
+            _check_stats(stats or SearchStats()),
+            None,
         )
 
     @staticmethod
     def none(reason: str, stats: SearchStats | None = None) -> "ConsensusAnswer":
         return ConsensusAnswer(
-            feasible=False,
-            solution=None,
-            per_string_distances=None,
-            max_distance=None,
-            sum_distance=None,
-            stats=_check_stats(stats or SearchStats()),
-            reason=reason,
+            False, None, None, None, None, _check_stats(stats or SearchStats()), reason
         )
 
 

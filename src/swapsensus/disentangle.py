@@ -12,20 +12,21 @@ The scan reads the input's columns directly: a column it reaches has not
 been touched by any swap, because an interval's swaps stay inside the
 interval and the scan resumes after it.
 
-Infeasibility (no common match exists) is detected in layers: a symbol
-multiset precheck, per-step legality checks inside intervals, and a final
-O(kn) pairwise-matching certification as the safety net: the results' swap
+Infeasibility (no common match exists) is detected in two layers: a symbol
+multiset precheck and per-step legality checks inside intervals. A final
+O(kn) pairwise-matching certification is the safety net: the results' swap
 strings against the first result have no adjacent ones in their union, a
-bitwise OR of the strings. Those certified swap strings are the encoding the
-swap pipeline solves on.
+bitwise OR of the strings. A net that fails means a bug in the scan, not
+an input without a common match, so it raises CertificationFailure. Those
+certified swap strings are the encoding the swap pipeline solves on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import Instance, NotMatching, Word, _Record
-from .swaps import SwapStr, swap_string
+from .core import CertificationFailure, Instance, NotMatching, _Record
+from .swaps import swap_string
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
@@ -33,35 +34,19 @@ __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 class Disentanglement(_Record):
     """Pairwise-matching words, per-string swap budgets, and where they came from.
 
-    ``encoded`` holds each result's swap string against the first result, as
-    certified by the safety net.
+    ``tangled_intervals`` are 1-based inclusive column ranges. ``encoded``
+    holds each result's swap string against the first result, as certified
+    by the safety net.
     """
 
     __slots__ = ("strings_prime", "budgets", "total", "tangled_intervals", "encoded")
-
-    def __init__(
-        self,
-        strings_prime: tuple[Word, ...],
-        budgets: tuple[int, ...],
-        total: int,
-        tangled_intervals: tuple[tuple[int, int], ...],  # 1-based inclusive
-        encoded: tuple[SwapStr, ...],
-    ) -> None:
-        object.__setattr__(self, "strings_prime", strings_prime)
-        object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "tangled_intervals", tangled_intervals)
-        object.__setattr__(self, "encoded", encoded)
 
 
 class Infeasible(_Record):
     """No word matches every input; reason names the violating column."""
 
     __slots__ = ("reason", "column")
-
-    def __init__(self, reason: str, column: int | None = None) -> None:
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "column", column)
+    _defaults = {"column": None}
 
 
 def disentangle(inst: Instance) -> Disentanglement | Infeasible:
@@ -170,18 +155,16 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     # the bitwise OR of the strings read as binary numbers.
     try:
         hs = tuple(swap_string(strings_prime[0], w) for w in strings_prime)
-    except NotMatching:
-        return Infeasible("certification failed: results do not pairwise match")
+    except NotMatching as exc:
+        raise CertificationFailure(
+            f"disentangled words do not match the first one: {exc}"
+        ) from exc
     union = 0
     for h in hs:
         union |= int(h.bits or "0", 2)
     if union & union >> 1:
-        return Infeasible("certification failed: results do not pairwise match")
+        raise CertificationFailure("disentangled words do not pairwise match")
 
     return Disentanglement(
-        strings_prime=strings_prime,
-        budgets=tuple(budgets),
-        total=sum(budgets),
-        tangled_intervals=tuple(intervals),
-        encoded=hs,
+        strings_prime, tuple(budgets), sum(budgets), tuple(intervals), hs
     )

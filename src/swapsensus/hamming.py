@@ -15,7 +15,6 @@ from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    BudgetedInstance,
     CertificationFailure,
     ConsensusAnswer,
     Instance,
@@ -43,10 +42,8 @@ class MixedRadiusQuery(_Record):
 
     __slots__ = ("budgeted", "d")
 
-    def __init__(self, budgeted: BudgetedInstance, d: int) -> None:
-        object.__setattr__(self, "budgeted", budgeted)
-        object.__setattr__(self, "d", d)
-        check_bounds("radius", d, None)
+    def _check(self) -> None:
+        check_bounds("radius", self.d, None)
 
 
 class MixedRadiusSumQuery(_Record):
@@ -58,11 +55,8 @@ class MixedRadiusSumQuery(_Record):
 
     __slots__ = ("budgeted", "d", "D")
 
-    def __init__(self, budgeted: BudgetedInstance, d: int, D: int) -> None:
-        object.__setattr__(self, "budgeted", budgeted)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "D", D)
-        check_bounds("radius-sum", d, D)
+    def _check(self) -> None:
+        check_bounds("radius-sum", self.d, self.D)
 
 
 def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str | None:

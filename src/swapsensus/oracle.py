@@ -57,9 +57,6 @@ class Radius(_Record):
 
     __slots__ = ("d",)
 
-    def __init__(self, d: int) -> None:
-        object.__setattr__(self, "d", d)
-
 
 class Sum(_Record):
     """Minimize the total distance to all inputs."""
@@ -72,35 +69,22 @@ class RadiusSum(_Record):
 
     __slots__ = ("d", "D")
 
-    def __init__(self, d: int, D: int) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "D", D)
-
-
-Objective = Radius | Sum | RadiusSum
-
 
 class OracleQuery(_Record):
     """A fully specified question for the brute-force reference solver.
 
-    Optional per-word budgets are added to every computed distance, mirroring
-    the budgeted problems left behind by disentanglement. The query is
-    rejected up front when the enumeration space exceeds ``DEFAULT_CAP``.
+    ``metric`` is one of ``METRICS`` and ``objective`` a ``Radius``, ``Sum``
+    or ``RadiusSum``. Optional per-word budgets are added to every computed
+    distance, mirroring the budgeted problems left behind by disentanglement.
+    The query is rejected up front when the enumeration space exceeds
+    ``DEFAULT_CAP``.
     """
 
     __slots__ = ("instance", "metric", "objective", "budgets")
+    _defaults = {"budgets": None}
 
-    def __init__(
-        self,
-        instance: Instance,
-        metric: str,
-        objective: Objective,
-        budgets: tuple[int, ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "budgets", budgets)
+    def _check(self) -> None:
+        instance, metric, objective, budgets = self._values()
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         if isinstance(objective, Radius):

@@ -58,18 +58,6 @@ class SwapPipelineTrace(_Record):
 
     __slots__ = ("disentanglement", "encoded", "h_star", "decoded")
 
-    def __init__(
-        self,
-        disentanglement: Disentanglement,
-        encoded: tuple[SwapStr, ...],
-        h_star: SwapStr,
-        decoded: Word,
-    ) -> None:
-        object.__setattr__(self, "disentanglement", disentanglement)
-        object.__setattr__(self, "encoded", encoded)
-        object.__setattr__(self, "h_star", h_star)
-        object.__setattr__(self, "decoded", decoded)
-
 
 def _certify_budget_additivity(
     inst: Instance,

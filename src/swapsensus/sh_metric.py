@@ -30,10 +30,6 @@ class SHWitness(_Record):
 
     __slots__ = ("swaps", "substitutions")
 
-    def __init__(self, swaps: tuple[int, ...], substitutions: tuple[int, ...]) -> None:
-        object.__setattr__(self, "swaps", swaps)
-        object.__setattr__(self, "substitutions", substitutions)
-
     @property
     def cost(self) -> int:
         return len(self.swaps) + len(self.substitutions)

@@ -64,14 +64,6 @@ class DPState(_Record):
 
     __slots__ = ("row", "swap_members", "prefix", "cost")
 
-    def __init__(
-        self, row: int, swap_members: tuple[int, ...], prefix: Word, cost: int
-    ) -> None:
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "swap_members", swap_members)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cost", cost)
-
 
 # The characters "0"/"1" to the bytes 0/1, which compress() reads as selectors.
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")

@@ -36,9 +36,8 @@ class SwapStr(_Record):
 
     __slots__ = ("bits", "home_length")
 
-    def __init__(self, bits: str, home_length: int) -> None:
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "home_length", home_length)
+    def _check(self) -> None:
+        bits, home_length = self.bits, self.home_length
         if len(bits) != home_length - 1:
             raise LengthMismatch(f"{len(bits)} bits for home length {home_length}")
         if bits.count("0") + bits.count("1") != len(bits):

@@ -208,6 +208,14 @@ def _records() -> dict[str, tuple[type, dict]]:
 RECORDS = list(_records())
 # SearchStats can change and ConsensusAnswer holds one, so neither hashes.
 UNHASHABLE = {"SearchStats", "ConsensusAnswer"}
+# The optional fields and their defaults; a ConsensusAnswer built without
+# stats gets fresh counters of its own.
+DEFAULTS = {
+    "SearchStats": {"nodes_expanded": 0, "dp_states": 0, "oracle_enumerated": 0, "elapsed": 0.0},
+    "ConsensusAnswer": {"stats": SearchStats(), "reason": None},
+    "Infeasible": {"column": None},
+    "OracleQuery": {"budgets": None},
+}
 REPRS = {
     "Instance": "Instance(words=('a',))",
     "SHWitness": "SHWitness(swaps=(1,), substitutions=(3,))",  # as in the README
@@ -246,6 +254,52 @@ class TestRecords:
                 hash(rec)
         else:
             assert hash(rec) == hash(twin)
+        # Arguments bind to the fields as a signature with defaults would.
+        values = list(fields.values())
+        assert cls(*values) == twin
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=None)
+        defaults = DEFAULTS.get(name, {})
+        required = {k: v for k, v in fields.items() if k not in defaults}
+        if fields:
+            with pytest.raises(TypeError):
+                cls(values[0], **fields)
+        if required:
+            with pytest.raises(TypeError):
+                cls(**dict(list(required.items())[1:]))
+        bare = cls(**required)
+        assert bare.as_dict() == {**fields, **defaults}
+        assert all(getattr(bare, k) is None for k, v in defaults.items() if v is None)
+        assert cls(*required.values()) == bare
+        if name == "ConsensusAnswer":
+            assert bare.stats is not cls(**required).stats
+
+    def test_records_are_built_only_by_the_base(self):
+        # One __init__ in core sets every read-only record's fields; only
+        # the mutable SearchStats assigns its own.
+        setters, inits, records = set(), set(), set()
+        for path in Path(swapsensus.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "__setattr__"
+                    and getattr(node.value, "id", None) == "object"
+                ):
+                    setters.add(path.name)
+                elif isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", None) == "_Record" for base in node.bases
+                ):
+                    records.add(node.name)
+                    if any(
+                        isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                        for item in node.body
+                    ):
+                        inits.add(node.name)
+        assert records == set(RECORDS)
+        assert setters == {"core.py"}
+        assert inits == {"SearchStats"}
 
 
 class TestMisc:

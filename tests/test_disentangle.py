@@ -5,15 +5,18 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 
 import pytest
 
 import reference as ref
 from conftest import best_of, random_words
 from swapsensus import (
+    CertificationFailure,
     Disentanglement,
     Infeasible,
     Instance,
+    NotMatching,
     SwapStr,
     disentangle,
     swap_distance,
@@ -296,3 +299,23 @@ def test_certification_is_linear_in_k():
         [math.log(k) for k in sizes], [math.log(t) for t in times]
     )
     assert fit.slope <= 1.5, f"log-log slope {fit.slope:.2f} exceeds 1.5 ({times})"
+
+
+def _mismatch(base, word):
+    raise NotMatching(2)
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [
+        _mismatch,
+        # Valid swap strings whose union "11" has adjacent ones.
+        lambda base, word: SwapStr("10" if word == "abc" else "01", 3),
+    ],
+    ids=["not-matching", "adjacent-union"],
+)
+def test_failed_safety_net_is_a_bug_not_a_no(monkeypatch, fake):
+    # The package attribute disentangle is the function; patch the module.
+    monkeypatch.setattr(sys.modules["swapsensus.disentangle"], "swap_string", fake)
+    with pytest.raises(CertificationFailure):
+        disentangle(Instance(("abc", "bac")))
