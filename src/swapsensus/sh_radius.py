@@ -90,7 +90,8 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     2 * sh cannot decide: the second prune needs it only for words with
     hamming > 3d - depth, and of the words checked for the first violator,
     one within Hamming distance d is within d, one at Hamming distance
-    2d + 1 or more is not, and only the words in between pay for it.
+    2d + 1 or more is not, and only the words in between pay for it, once
+    per node: the violator scan reuses the prune's values.
     """
     check_bounds("radius", d, None)
     words = inst.words
@@ -99,17 +100,21 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
         if max(dists) >= 4 * d - depth + 1:
             return ()
-        # sh <= hamming, so only words beyond 3d - depth need sh_cost.
+        # sh <= hamming, so only words beyond 3d - depth need sh_cost; the
+        # violator scan reuses what this scan paid for (sh[i] of word i).
         bound = 3 * d - depth
-        for w, ham in zip(words, dists):
-            if ham > bound and sh_cost(cand, w) > bound:
-                return ()
-        for w, ham in zip(words, dists):
-            if ham > d and (ham > 2 * d or sh_cost(cand, w) > d):
-                break
-        else:
-            return None  # cand is a witness
-        return _moves(cand, w, d)
+        sh: dict[int, int] = {}
+        for i, ham in enumerate(dists):
+            if ham > bound:
+                cost = sh[i] = sh_cost(cand, words[i])
+                if cost > bound:
+                    return ()
+        for i, ham in enumerate(dists):
+            if ham > d and (
+                ham > 2 * d or (sh[i] if i in sh else sh_cost(cand, words[i])) > d
+            ):
+                return _moves(cand, words[i], d)
+        return None  # cand is a witness
 
     root_dists = [hamming_distance(words[0], w) for w in words]
     witness = _radius_search(words, root_dists, step, stats)

@@ -22,11 +22,22 @@ new mismatch and crediting one unit back per confirmed swap; the final
 answer is recomputed from scratch and cross-checked before it is returned.
 
 Sets of words are bit masks (bit j stands for word j). Each column is read
-once into one mask per symbol, and those masks price every extension: a
-symbol's count is its mask's popcount, a 2-gram's carriers are the AND of
-two neighbouring columns' masks, and the words a new swap adds are those
-carriers minus the state's members. The returned table is built when it is
-first read; only then do masks become its sorted 1-based index tuples.
+into one mask per symbol, and those masks price every extension: a symbol's
+count is its mask's popcount, a 2-gram's carriers are the AND of two
+neighbouring columns' masks, and the words a new swap adds are those
+carriers minus the state's members.
+
+The work follows the columns where the words disagree (the dirty ones), not
+the length. Row L is stepped by the rules when column L-1, L or L+1 is
+dirty, and the columns those rows read are the only ones read into masks.
+Across the other rows, a quiet stretch, the table settles in closed form
+once only the swap-free state and the swap set of all words are alive: the
+swap-free state appends the first word's symbols, and the all-words set
+reverses the first word's last two symbols at cost k. A quiet row where other
+swap sets live on (along a periodic stretch, say) is stepped by the rules.
+The returned table is built when it is first read; only then are the rows
+inside the stretches written out and the masks turned into sorted 1-based
+index tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import compress, count
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .core import (
     CertificationFailure,
@@ -85,20 +96,45 @@ def _settle(
 
 
 Rows = list[dict[int, tuple[int, Word]]]
+# A quiet stretch entered at row L from the swap-free state (cost, prefix),
+# up to the next stepped row b: (L, b, cost, prefix).
+Stretch = tuple[int, int, int, Word]
+
+
+def _quiet_row(w0: Word, k: int, stretch: Stretch, r: int) -> dict[int, tuple[int, Word]]:
+    """Row r (L+2 <= r <= b+1) of a quiet stretch, in closed form.
+
+    The swap-free state appends the first word's symbols; the all-words swap
+    set sits where the first word's last two symbols differ, reached from
+    row r-2 by their reversal at cost k.
+    """
+    L, _, c, P = stretch
+    row = {0: (c, P + w0[L:r])}
+    if w0[r - 2] != w0[r - 1]:
+        row[(1 << k) - 1] = (c + k, P + w0[L : r - 2] + w0[r - 1] + w0[r - 2])
+    return row
 
 
 class _Table(Sequence[DPState]):
     """The settled states of ``rows[1:]``, sorted by row and swap members.
 
     The ``DPState`` tuple is built when the table is first read, so a caller
-    that reads only the answer never pays for it.
+    that reads only the answer never pays for it; so are the rows inside the
+    quiet stretches, which the DP settles in closed form.
     """
 
-    def __init__(self, rows: Rows):
+    def __init__(self, rows: Rows, stretches: list[Stretch], w0: Word, k: int):
         self._rows = rows
+        self._stretches = stretches
+        self._w0 = w0
+        self._k = k
 
     @cached_property
     def _states(self) -> tuple[DPState, ...]:
+        for stretch in self._stretches:
+            L, b = stretch[:2]
+            for r in range(L + 2, b):
+                self._rows[r] = _quiet_row(self._w0, self._k, stretch, r)
         rows = self._rows[1:]
         # Rows share few distinct swap sets; name each one once.
         names = {m: _members(m) for m in set().union(*rows)}
@@ -123,44 +159,89 @@ class _Table(Sequence[DPState]):
         return NotImplemented
 
 
-def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows]:
+def _fill(
+    ps: list[int],
+    w0: Word,
+    k: int,
+    masks: list[dict[str, int] | None],
+    have: list[dict[str, int]],
+    grams: list[dict[str, int]],
+    ending: list[dict[str, list[tuple[str, int]]]],
+) -> None:
+    """Fill the tables of the clean columns in ``ps``, then the 2-grams ending there.
+
+    A clean column is one symbol, the first word's, carried by every word.
+    The grams at (p-1, p) are filled for each p in ``ps`` whose column p-1
+    has its tables.
+    """
+    for p in ps:
+        if masks[p] is None:
+            b = w0[p]
+            masks[p] = {b: (1 << k) - 1}
+            have[p] = {b: k}
+    for p in ps:
+        if p and (lefts := masks[p - 1]) is not None:
+            g, e = grams[p], ending[p] = {}, {}
+            for a, left in lefts.items():
+                for b, right in masks[p].items():
+                    if a != b and (carriers := left & right):
+                        g[a + b] = carriers
+                        e.setdefault(b, []).append((a, carriers))
+
+
+def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     words = inst.words
     k, n = inst.k, inst.n
+    w0 = words[0]
+    everyone = (1 << k) - 1
     # masks[p] maps each symbol of column p to the words carrying it there:
     # the column, read from word k-1 down to word 0, as a binary numeral with
-    # ones where the symbol stands, so bit j is word j (0-based).
+    # ones where the symbol stands, so bit j is word j (0-based). have[p]
+    # counts them; b costs k - have[p].get(b, 0) at p. grams[p] maps each
+    # unequal 2-gram at columns (p-1, p) to the words carrying it, and
+    # ending[p] indexes them by their last symbol: ending[p][b] lists
+    # (a, carriers); grams[0] and grams[n] are empty. A column is dirty when
+    # its words disagree. The dirty columns are read here; the clean ones get
+    # their tables only where a stepped row reads them (_fill). Entries not
+    # yet filled share one empty dict, which nothing writes to.
     symbols = set().union(*words)
     marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
-    # have[p] counts the symbols of column p; b costs k - have[p].get(b, 0) there.
-    masks: list[dict[str, int]] = []
-    have: list[dict[str, int]] = []
-    plurality: list[str] = []
-    everyone = (1 << k) - 1
-    for col in map("".join, zip(*reversed(words))):
-        b = col[0]
-        if col.count(b) == k:
-            # Most columns are clean: one symbol, carried by every word.
-            masks.append({b: everyone})
-            have.append({b: k})
-            plurality.append(b)
+    masks: list[dict[str, int] | None] = [None] * n
+    have: list[dict[str, int]] = [{}] * n
+    plurality = list(w0)
+    grams: list[dict[str, int]] = [{}] * (n + 1)
+    ending: list[dict[str, list[tuple[str, int]]]] = [{}] * (n + 1)
+    dirty: list[int] = []
+    for p, col in enumerate(map("".join, zip(*reversed(words)))):
+        if col.count(col[0]) == k:
             continue
-        ms = {c: int(col.translate(marks[c]), 2) for c in set(col)}
-        h = {c: m.bit_count() for c, m in ms.items()}
-        masks.append(ms)
-        have.append(h)
-        # max() keeps the first (smallest) symbol on count ties.
-        plurality.append(max(sorted(h), key=h.__getitem__))
-    # grams[p] maps each unequal 2-gram at columns (p-1, p) to the words
-    # carrying it; grams[0] and grams[n] are empty. ending[p] indexes the
-    # same grams by their last symbol: ending[p][b] lists (a, carriers).
-    grams: list[dict[str, int]] = [{} for _ in range(n + 1)]
-    ending: list[dict[str, list[tuple[str, int]]]] = [{} for _ in range(n + 1)]
-    for p in range(1, n):
-        for a, left in masks[p - 1].items():
-            for b, right in masks[p].items():
-                if a != b and (carriers := left & right):
-                    grams[p][a + b] = carriers
-                    ending[p].setdefault(b, []).append((a, carriers))
+        dirty.append(p)
+        ms, h = masks[p], have[p] = {}, {}
+        rest, top = col, 0
+        while rest:  # one symbol at a time, each removed once counted
+            c = rest[0]
+            left = rest.replace(c, "")
+            h[c] = got = len(rest) - len(left)
+            ms[c] = int(col.translate(marks[c]), 2)
+            # The plurality symbol: the smallest of the most frequent.
+            if got > top or got == top and c < plurality[p]:
+                top, plurality[p] = got, c
+            rest = left
+    # Row L is stepped when column L-1, L or L+1 is dirty; it reads columns
+    # L-1 to L+1, so the stepped rows read the columns near a dirty one. The
+    # other rows are quiet: until[L] is the next stepped row (or n).
+    until = [0] * n
+    near: list[int] = []
+    start = 0
+    for lo, hi in zip([-3, *dirty], [*dirty, n + 2]):
+        if hi - lo > 3:  # rows lo+2 .. hi-2 are quiet
+            a, b = max(lo + 2, 0), min(hi - 1, n)
+            until[a:b] = [b] * (b - a)
+            if hi - lo > 5:  # and no stepped row reads columns lo+3 .. hi-3
+                near.extend(range(start, lo + 3))
+                start = hi - 2
+    near.extend(range(start, n))
+    _fill(near, w0, k, masks, have, grams, ending)
 
     def source(p: int, b: str, order: list) -> tuple[int, Word] | None:
         # The first (cost, prefix) in order that b extends at p creating no
@@ -172,53 +253,86 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows]:
         return None
 
     # rows[L] maps a swap set to the best (cost, prefix) of length L; the
-    # empty prefix is the one state of rows[0].
+    # empty prefix is the one state of rows[0]. The table's row r holds
+    # prefixes of length r+1: row 0 is one swap-free state, and every later
+    # row holds at most k states with swaps plus one without.
     rows: Rows = [{} for _ in range(n + 1)]
     rows[0][0] = (0, "")
-    for L in range(n):  # extend prefixes of length L at position L
+    stretches: list[Stretch] = []
+    L = 0
+    while L < n:  # extend prefixes of length L at position L
+        row, nxt = rows[L], rows[L + 1]
+        if b := until[L]:
+            # Quiet row: columns L-1..L+1 are clean, and row L-1 was stepped
+            # (or L is 0). A clean column's symbol extends every state
+            # without a swap, so row L holds the swap-free state (c, P): row
+            # L-1's best plus column L-1's symbol, which starts no swap. The
+            # all-words swap set E, in row L or L+1, costs k more than its
+            # source, which could have taken that symbol instead: E is worse.
+            # So when E is the only other state (the steady form), every rule
+            # up to row b takes (c, P) as its source; see _quiet_row.
+            if len(row) == 1 + (everyone in row):
+                c, P = row[0]
+                stretch = (L, b, c, P)
+                nxt[0] = (c, P + w0[L])
+                if b > L + 1:
+                    rows[b] = _quiet_row(w0, k, stretch, b)
+                if b < n and w0[b - 1] != w0[b]:
+                    rows[b + 1][everyone] = _quiet_row(w0, k, stretch, b + 1)[everyone]
+                if b > L + 2:
+                    stretches.append(stretch)
+                L = b
+                continue
+            # Not steady (swap sets from the dirty rows live on, as along a
+            # periodic stretch): step the row by the rules. Row L-1 was
+            # stepped, so only column L+1 may lack its tables.
+            if L + 1 < n:
+                _fill([L + 1], w0, k, masks, have, grams, ending)
         # All prefixes of row L have length L, so appending one suffix keeps
         # their (cost, prefix) order.
-        order = sorted(rows[L].items(), key=itemgetter(1))
+        order = sorted(row.items(), key=itemgetter(1))
+        here, ends = have[L], ending[L]
         for members, (cost, prefix) in order:
             # One symbol creating at least one new swap: the reversed gram
             # must end with last, so the symbol occurs in column L-1.
-            for a, carriers in ending[L].get(prefix[-1:], ()):
+            for a, carriers in ends.get(prefix[-1:], ()):
                 if swappers := carriers & ~members:
-                    new_cost = cost + k - have[L].get(a, 0) - swappers.bit_count()
-                    _settle(rows[L + 1], swappers, new_cost, prefix + a)
+                    new_cost = cost + k - here.get(a, 0) - swappers.bit_count()
+                    _settle(nxt, swappers, new_cost, prefix + a)
         # The other two rules add a cost and a suffix that do not depend on
         # the state, so each takes one source: the first state in order to
         # which the rule's first symbol b adds no swap. The plurality symbol,
         # allowed only when it creates no swap:
         b = plurality[L]
         if (held := source(L, b, order)) is not None:
-            _settle(rows[L + 1], 0, held[0] + k - have[L][b], held[1] + b)
+            _settle(nxt, 0, held[0] + k - here[b], held[1] + b)
         # Two symbols b, a forming a reversed occurring 2-gram a+b, provided b
         # alone creates no swap; the gram's carriers swap.
         for b, pairs in ending[L + 1].items():
             if (held := source(L, b, order)) is not None:
-                base = held[0] + 2 * k - have[L].get(b, 0)
+                base = held[0] + 2 * k - here.get(b, 0)
                 for a, swappers in pairs:
                     new_cost = base - have[L + 1].get(a, 0) - swappers.bit_count()
                     _settle(rows[L + 2], swappers, new_cost, held[1] + b + a)
-
-    # The table's row r holds prefixes of length r+1. Row 0 is one swap-free
-    # state; every later row holds at most k states with swaps plus one without.
-    for r, row in enumerate(rows[1:]):
-        limit = k if r else 0
-        nonempty = sum(1 for m in row if m)
-        if nonempty > limit or len(row) > limit + 1:
+        # Row L+1 is complete: rows L-1 and L were its only writers.
+        if (swapping := len(nxt) - (0 in nxt)) > (k if L else 0):
             raise CertificationFailure(
-                f"row {r} holds {len(row)} states ({nonempty} with swaps), "
+                f"row {L} holds {len(nxt)} states ({swapping} with swaps), "
                 f"exceeding the reachability bound"
             )
-        stats.dp_states += len(row)
+        L += 1
 
+    # Every row but the empty prefix's, with those inside the stretches,
+    # which _Table builds: each holds the swap-free state, and the all-words
+    # swap set where the first word's last two symbols differ.
+    stats.dp_states += sum(map(len, rows)) - 1
+    for L, b, _, _ in stretches:
+        stats.dp_states += b - L - 2 + sum(map(ne, w0[L : b - 2], w0[L + 1 : b - 1]))
     final = rows[n]
     if not final:
         raise CertificationFailure("the table's last row is empty")
     best_cost, best_word = min(final.values())
-    return best_word, best_cost, rows
+    return best_word, best_cost, _Table(rows, stretches, w0, k)
 
 
 @timed
@@ -236,11 +350,11 @@ def sum_consensus_sh(
     """
     check_bounds("sum", None, D)
     stats = SearchStats()
-    witness, best_cost, rows = _run_dp(inst, stats)
+    witness, best_cost, table = _run_dp(inst, stats)
     dists = tuple(sh_cost(w, witness) for w in inst.words)
     if sum(dists) != best_cost:
         raise CertificationFailure(
             f"table cost {best_cost} != recomputed sum {sum(dists)}"
         )
     answer = ConsensusAnswer.found(witness, tuple(map(float, dists)), stats)
-    return decide_sum(answer, D), _Table(rows)
+    return decide_sum(answer, D), table

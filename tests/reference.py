@@ -11,7 +11,10 @@ tests check every settled state against it.
 ``scan_swap_string`` and ``scan_sh_distance`` are the package's former
 swap-string and swap+Hamming passes, which read every position; the package
 now visits only the mismatching ones, and the tests hold each pair to the
-same answers (witnesses, failure positions).
+same answers (witnesses, failure positions). ``scan_sum_dp`` is the
+package's former sum DP, which steps every row of the table; the package now
+steps only the rows next to a disagreeing column, and the tests hold both to
+the same tables, witnesses and state counts.
 
 The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from swapsensus import (
@@ -161,6 +165,80 @@ def scan_sh_distance(s: str, t: str) -> tuple[int, SHWitness]:
         i += 1
     w = SHWitness(tuple(swaps), tuple(subs))
     return w.cost, w
+
+
+def scan_sum_dp(words: tuple[str, ...]) -> tuple[str, int, list[tuple], int]:
+    """The sum DP over swap+substitution distance, stepping every row.
+
+    Returns the witness, its cost, the table as sorted (row, members, prefix,
+    cost) tuples and the number of settled states. Swap sets are bit masks
+    while the table is built (bit j is word j); members are 1-based.
+    """
+    k, n = len(words), len(words[0])
+    symbols = set().union(*words)
+    marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
+    masks: list[dict[str, int]] = []
+    have: list[dict[str, int]] = []
+    plurality: list[str] = []
+    for col in map("".join, zip(*reversed(words))):
+        ms = {c: int(col.translate(marks[c]), 2) for c in set(col)}
+        h = {c: m.bit_count() for c, m in ms.items()}
+        masks.append(ms)
+        have.append(h)
+        plurality.append(max(sorted(h), key=h.__getitem__))
+    # grams[p] maps each unequal 2-gram at columns (p-1, p) to its carriers;
+    # ending[p][b] lists (a, carriers) for the grams a+b there.
+    grams: list[dict[str, int]] = [{} for _ in range(n + 1)]
+    ending: list[dict[str, list[tuple[str, int]]]] = [{} for _ in range(n + 1)]
+    for p in range(1, n):
+        for a, left in masks[p - 1].items():
+            for b, right in masks[p].items():
+                if a != b and (carriers := left & right):
+                    grams[p][a + b] = carriers
+                    ending[p].setdefault(b, []).append((a, carriers))
+
+    def source(p: int, b: str, order: list) -> tuple[int, str] | None:
+        for members, held in order:
+            if not grams[p].get(b + held[1][-1:], 0) & ~members:
+                return held
+        return None
+
+    def settle(row: dict, members: int, cost: int, prefix: str) -> None:
+        held = row.get(members)
+        if held is None or (cost, prefix) < held:
+            row[members] = (cost, prefix)
+
+    rows: list[dict[int, tuple[int, str]]] = [{} for _ in range(n + 1)]
+    rows[0][0] = (0, "")
+    for L in range(n):
+        order = sorted(rows[L].items(), key=itemgetter(1))
+        for members, (cost, prefix) in order:
+            for a, carriers in ending[L].get(prefix[-1:], ()):
+                if swappers := carriers & ~members:
+                    new_cost = cost + k - have[L].get(a, 0) - swappers.bit_count()
+                    settle(rows[L + 1], swappers, new_cost, prefix + a)
+        b = plurality[L]
+        if (held := source(L, b, order)) is not None:
+            settle(rows[L + 1], 0, held[0] + k - have[L][b], held[1] + b)
+        for b, pairs in ending[L + 1].items():
+            if (held := source(L, b, order)) is not None:
+                base = held[0] + 2 * k - have[L].get(b, 0)
+                for a, swappers in pairs:
+                    new_cost = base - have[L + 1].get(a, 0) - swappers.bit_count()
+                    settle(rows[L + 2], swappers, new_cost, held[1] + b + a)
+
+    def members_of(mask: int) -> tuple[int, ...]:
+        return tuple(j + 1 for j in range(k) if mask >> j & 1)
+
+    table = [
+        (r, members, prefix, cost)
+        for r, row in enumerate(rows[1 : n + 1])
+        for members, (cost, prefix) in sorted(
+            (members_of(m), held) for m, held in row.items()
+        )
+    ]
+    best_cost, best_word = min(rows[n].values())
+    return best_word, best_cost, table, len(table)
 
 
 class OutOfRange(SwapsensusError):

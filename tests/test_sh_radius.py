@@ -63,15 +63,16 @@ class TestKnownInstances:
         # recomputed them). sh_cost runs only where the sandwich sh <=
         # hamming <= 2 * sh cannot decide: for the prune, words with hamming
         # > 3d - depth; for the first violator, words with d < hamming <= 2d
-        # (14,458 calls if every word paid it in the prune and every word up
-        # to the first violator in the scan).
+        # that the prune did not already price (14,458 calls if every word
+        # paid it in the prune and every word up to the first violator in the
+        # scan, 8,122 if the scan priced its words again).
         ham_calls = count_calls(monkeypatch, sh_radius, "hamming_distance")
         sh_calls = count_calls(monkeypatch, sh_radius, "sh_cost")
         inst = dollar_pad(Instance(("aabbcb", "bccabc", "abacca")))
         ans = radius_consensus_sh(inst, 3)
         assert ans.stats.nodes_expanded == 6_219
         assert len(ham_calls) == 3
-        assert len(sh_calls) == 8_122
+        assert len(sh_calls) == 8_098
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
