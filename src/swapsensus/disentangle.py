@@ -91,19 +91,15 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
                 continue
 
         # Tangled interval starting at i0 = i. Strings that cannot swap
-        # (i0, i0+1) pin the match's symbol there.
+        # (i0, i0+1) pin the match's symbol there; no swap has touched
+        # either column yet.
         i0 = i
-        cannot_swap = [
-            j
-            for j in range(k)
-            if words[j][i0 + 1] not in column or words[j][i0] == words[j][i0 + 1]
-        ]
-        if not cannot_swap:
+        pinned = {a for a, b in zip(cols[i0], cols[i0 + 1]) if b not in column or a == b}
+        if not pinned:
             return Infeasible(
                 f"column {i0 + 1}: every word could swap, no symbol is pinned",
                 column=i0 + 1,
             )
-        pinned = {words[j][i0] for j in cannot_swap}
         if len(pinned) > 1:
             return Infeasible(
                 f"column {i0 + 1}: words that cannot swap disagree "

@@ -9,22 +9,19 @@ queries early. (2) Encode each word as its swap string against the first
 disentangled word: these are the strings ``disentangle`` computed and
 certified, so no stage encodes again. Budget additivity makes swap distances
 to any common match equal to the budget plus the Hamming distance between
-encodings.
-(3) Solve the corresponding budgeted Hamming problem on the encodings; the
-objective's solver is the only stage that differs. Each Hamming solver only
-returns symbols that occur in its input column, so the chosen ones stay in
-that union. (4) Decode the winning bit string back into a word and certify
-every distance from scratch, together with the radius and sum bounds; a
-disagreement raises CertificationFailure, which always means an
-implementation bug.
+encodings. (3) Solve the corresponding budgeted Hamming problem on the
+encodings with the solver in ``solve``'s table, which reports each word's
+budget plus Hamming distance. Each Hamming solver only returns symbols that
+occur in its input column, so the chosen ones stay in that union. (4) Decode
+the winning bit string back into a word and certify every swap distance,
+recomputed from scratch, against the bit stage's distance and the radius and
+sum bounds; a disagreement raises CertificationFailure, which always means
+an implementation bug.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .core import (
-    BudgetedInstance,
     CertificationFailure,
     ConsensusAnswer,
     Instance,
@@ -35,15 +32,9 @@ from .core import (
     decide_sum,
     timed,
 )
-from .disentangle import Disentanglement, Infeasible, disentangle
-from .hamming import (
-    MixedRadiusQuery,
-    MixedRadiusSumQuery,
-    radius_consensus_ham_mixed,
-    rs_consensus_ham_mixed,
-    sum_consensus_ham,
-)
-from .swaps import SwapStr, apply_swaps, swap_distance, xor_compose
+from .disentangle import Infeasible, disentangle
+from .solve import solve
+from .swaps import SwapStr, apply_swaps, swap_distance
 
 __all__ = [
     "SwapPipelineTrace",
@@ -60,36 +51,27 @@ class SwapPipelineTrace(_Record):
 
 
 def _certify_budget_additivity(
-    inst: Instance,
-    dz: Disentanglement,
-    encoded: tuple[SwapStr, ...],
-    h_star: SwapStr,
-    decoded: Word,
+    inst: Instance, budgets: tuple[int, ...], bit_dists: tuple[float, ...], decoded: Word
 ) -> tuple[float, ...]:
     """Recompute all swap distances from scratch and check the bit-level identity.
 
-    For every input word: swap distance to the decoded witness must equal the
-    consumed budget plus the Hamming weight of the XOR of its encoding with
-    the chosen bits.
+    Each word's swap distance to the decoded witness must equal its distance
+    in the bit stage: the consumed budget plus the encoded Hamming distance.
     """
     dists = tuple(swap_distance(w, decoded) for w in inst.words)
-    for i, (dist, h, x) in enumerate(zip(dists, encoded, dz.budgets)):
-        expected = x + xor_compose(h, h_star).count("1")
+    for i, (dist, x, expected) in enumerate(zip(dists, budgets, bit_dists)):
         if dist != expected:
             raise CertificationFailure(
                 f"word {i + 1}: recomputed swap distance {dist} != budget {x} "
-                f"+ encoded Hamming {expected - x}"
+                f"+ encoded Hamming {int(expected) - x}"
             )
     return dists
 
 
 def _solve(
-    inst: Instance,
-    d: int | None,
-    D: int | None,
-    solve_bits: Callable[[BudgetedInstance], ConsensusAnswer],
+    inst: Instance, objective: str, d: int | None, D: int | None
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
-    """Run every stage around ``solve_bits``; d, D: radius and sum bounds, or None."""
+    """Run every stage for the objective; d, D: radius and sum bounds, or None."""
     dz = disentangle(inst)
     if isinstance(dz, Infeasible):
         return ConsensusAnswer.none(f"no common matching word: {dz.reason}"), None
@@ -109,18 +91,18 @@ def _solve(
 
     base, encoded = dz.strings_prime[0], dz.encoded
     if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
-        stats, bits = SearchStats(), ""
+        stats, bits, bit_dists = SearchStats(), "", dz.budgets
     else:
         rows = Instance(tuple(h.bits for h in encoded))
-        ham = solve_bits(BudgetedInstance(rows, dz.budgets))
+        ham, _ = solve("hamming", objective, rows, d, D, dz.budgets)
         if not ham.feasible:
             bounds = f"swap radius {d}" + ("" if D is None else f" and sum {D}")
             return ConsensusAnswer.none(f"no common match within {bounds}", ham.stats), None
-        stats, bits = ham.stats, ham.solution
+        stats, bits, bit_dists = ham.stats, ham.solution, ham.per_string_distances
 
     h_star = SwapStr(bits, len(base))  # validity checked
     decoded = apply_swaps(base, h_star)
-    dists = _certify_budget_additivity(inst, dz, encoded, h_star, decoded)
+    dists = _certify_budget_additivity(inst, dz.budgets, bit_dists, decoded)
     if (d is not None and max(dists) > d) or (D is not None and sum(dists) > D):
         raise CertificationFailure(
             f"decoded witness violates bounds: max {max(dists)}, sum {sum(dists)}"
@@ -139,7 +121,7 @@ def sum_consensus_swap(
     0), which is exactly the Hamming sum-consensus of the bit rows.
     """
     check_bounds("sum", None, D)
-    answer, trace = _solve(inst, None, None, lambda b: sum_consensus_ham(b.instance))
+    answer, trace = _solve(inst, "sum", None, None)
     return decide_sum(answer, D, "sum of swap distances"), trace
 
 
@@ -149,9 +131,7 @@ def radius_consensus_swap(
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Find a word within swap distance d of every input, if one exists."""
     check_bounds("radius", d, None)
-    return _solve(
-        inst, d, None, lambda b: radius_consensus_ham_mixed(MixedRadiusQuery(b, d))
-    )
+    return _solve(inst, "radius", d, None)
 
 
 @timed
@@ -160,6 +140,4 @@ def rs_consensus_swap(
 ) -> tuple[ConsensusAnswer, SwapPipelineTrace | None]:
     """Radius d and sum D simultaneously; minimum-sum witness when feasible."""
     check_bounds("radius-sum", d, D)
-    return _solve(
-        inst, d, D, lambda b: rs_consensus_ham_mixed(MixedRadiusSumQuery(b, d, D))
-    )
+    return _solve(inst, "radius-sum", d, D)

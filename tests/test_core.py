@@ -318,6 +318,26 @@ class TestMisc:
         union = {name for mod in submodules for name in getattr(mod, "__all__", ())}
         assert set(exported) - {"__version__"} == union
 
+    def test_every_imported_name_is_used(self):
+        # No linter runs here, so the package's stale imports are caught by
+        # this walk: a name a module binds by import is read in it or
+        # exported through its __all__.
+        for path in Path(swapsensus.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            bound, read, exported = set(), set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound.update(a.asname or a.name for a in node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets
+                ):
+                    exported.update(ast.literal_eval(node.value))
+            assert bound <= read | exported, (path.name, sorted(bound - read - exported))
+
     def test_names_the_benchmark_uses_exist(self):
         # Read from the benchmark's source, not imported: its package names,
         # and the module attributes its traced run patches with CallMeter.

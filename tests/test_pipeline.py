@@ -18,6 +18,7 @@ from swapsensus import (
     INF,
     BudgetedInstance,
     CertificationFailure,
+    ConsensusAnswer,
     Infeasible,
     Instance,
     MixedRadiusQuery,
@@ -33,7 +34,7 @@ from swapsensus import (
     rs_consensus_ham_mixed,
     rs_consensus_swap,
     sh_radius,
-    sum_consensus_ham,
+    solve,
     sum_consensus_swap,
     swap_distance,
     swap_string,
@@ -319,10 +320,29 @@ class TestCertification:
         with pytest.raises(CertificationFailure, match="word 1: recomputed swap"):
             sum_consensus_swap(Instance(("ab", "ba")))
 
-    def test_witness_must_meet_the_bounds(self):
-        # A bit solver that ignores d returns the sum optimum "ab", which is
+    def test_witness_must_meet_the_bounds(self, monkeypatch):
+        # A bit stage that ignores d returns the sum optimum "ab", which is
         # one swap from "ba": beyond radius 0.
+        def rogue(metric, objective, rows, d, D, budgets):
+            return solve(metric, "sum", rows, None, None, budgets)
+
+        monkeypatch.setattr(pipeline, "solve", rogue)
         with pytest.raises(CertificationFailure, match="violates bounds: max 1"):
-            pipeline._solve(
-                Instance(("ab", "ba")), 0, None, lambda b: sum_consensus_ham(b.instance)
-            )
+            radius_consensus_swap(Instance(("ab", "ba")), 0)
+
+    def test_distances_are_checked_against_the_bit_stage(self, monkeypatch):
+        # The certificate compares each recomputed swap distance with the
+        # bit stage's budget + Hamming distance, so a bit stage that
+        # misreports one distance is caught, and the message stays in
+        # whole numbers. Word 1 has budget 1 and swap distance 2.
+        def misreport(*args):
+            ans, detail = solve(*args)
+            dists = (ans.per_string_distances[0] + 1,) + ans.per_string_distances[1:]
+            return ConsensusAnswer.found(ans.solution, dists, ans.stats), detail
+
+        monkeypatch.setattr(pipeline, "solve", misreport)
+        with pytest.raises(
+            CertificationFailure,
+            match=r"^word 1: recomputed swap distance 2 != budget 1 \+ encoded Hamming 2$",
+        ):
+            radius_consensus_swap(Instance(TANGLED_SHORT), 2)
