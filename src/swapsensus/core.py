@@ -398,6 +398,11 @@ def depth_first(
     return None
 
 
+def columns(words: Iterable[Word]) -> list[str]:
+    """The words' columns: column p spells the words' symbols at p, in order."""
+    return list(map("".join, zip(*words)))
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 
@@ -411,9 +416,10 @@ def parse_instance(text: str) -> Instance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        for ch in line:
-            if ch.isspace():
-                raise InvalidSymbol(lineno, ch)
+        # split() breaks exactly where str.isspace() holds, so a stripped
+        # line splits in two or more exactly when it holds whitespace.
+        if len(line.split()) > 1:
+            raise InvalidSymbol(lineno, next(ch for ch in line if ch.isspace()))
         if expected is None:
             expected = len(line)
         elif len(line) != expected:

@@ -23,6 +23,7 @@ from .core import (
     Word,
     _Record,
     check_bounds,
+    columns,
     depth_first,
     timed,
 )
@@ -155,7 +156,7 @@ def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
     """
     # max() keeps the first (smallest) symbol on count ties.
     solution = "".join(
-        max(sorted(set(col)), key=col.count) for col in map("".join, zip(*inst.words))
+        max(sorted(set(col)), key=col.count) for col in columns(inst.words)
     )
     dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
     return ConsensusAnswer.found(solution, dists)
@@ -247,11 +248,11 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
     sum_budget = q.D - sum(q.budgeted.budgets)
     stats = SearchStats()
 
-    cols = list(map("".join, zip(*words)))
-    columns = [sorted(set(col)) for col in cols]  # branch order per column
+    cols = columns(words)
+    branches = [sorted(set(col)) for col in cols]  # branch order per column
     # suffix_min[p] = unavoidable mismatch count on positions p..n-1: a
     # column's most frequent symbol mismatches the fewest words.
-    col_min = [k - max(map(col.count, syms)) for col, syms in zip(cols, columns)]
+    col_min = [k - max(map(col.count, syms)) for col, syms in zip(cols, branches)]
     suffix_min = list(accumulate(reversed(col_min), initial=0))[::-1]
 
     # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.
@@ -271,7 +272,7 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         if p == n:
             best = (total, "".join(prefix))
             return
-        for b in columns[p]:
+        for b in branches[p]:
             new_mism = mism.copy()
             add = 0
             for i, w in enumerate(words):

@@ -11,8 +11,10 @@ certified, so no stage encodes again. Budget additivity makes swap distances
 to any common match equal to the budget plus the Hamming distance between
 encodings. (3) Solve the corresponding budgeted Hamming problem on the
 encodings with the solver in ``solve``'s table, which reports each word's
-budget plus Hamming distance. Each Hamming solver only returns symbols that
-occur in its input column, so the chosen ones stay in that union. (4) Decode
+budget plus Hamming distance. ``solve`` runs it on the dirty bit columns
+only, where some encoding holds a one, and puts the clean columns' zeroes
+back. Each Hamming solver only returns symbols that occur in its input
+column, so the chosen ones stay in that union. (4) Decode
 the winning bit string back into a word and certify every swap distance,
 recomputed from scratch, against the bit stage's distance and the radius and
 sum bounds; a disagreement raises CertificationFailure, which always means

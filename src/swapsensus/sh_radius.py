@@ -90,8 +90,9 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     2 * sh cannot decide: the second prune needs it only for words with
     hamming > 3d - depth, and of the words checked for the first violator,
     one within Hamming distance d is within d, one at Hamming distance
-    2d + 1 or more is not, and only the words in between pay for it, once
-    per node: the violator scan reuses the prune's values.
+    2d + 1 or more is not, and only the words in between pay for it. Each
+    distinct word pays at most once per node: both scans share their values,
+    and a word that occurs twice is priced once.
     """
     check_bounds("radius", d, None)
     words = inst.words
@@ -100,20 +101,25 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
         if max(dists) >= 4 * d - depth + 1:
             return ()
-        # sh <= hamming, so only words beyond 3d - depth need sh_cost; the
-        # violator scan reuses what this scan paid for (sh[i] of word i).
+        # sh <= hamming, so only words beyond 3d - depth need sh_cost. Each
+        # distinct word is priced once per node (sh[w]), by whichever scan
+        # reaches it first.
         bound = 3 * d - depth
-        sh: dict[int, int] = {}
-        for i, ham in enumerate(dists):
+        sh: dict[Word, int] = {}
+        for ham, w in zip(dists, words):
             if ham > bound:
-                cost = sh[i] = sh_cost(cand, words[i])
-                if cost > bound:
+                if w not in sh:
+                    sh[w] = sh_cost(cand, w)
+                if sh[w] > bound:
                     return ()
-        for i, ham in enumerate(dists):
-            if ham > d and (
-                ham > 2 * d or (sh[i] if i in sh else sh_cost(cand, words[i])) > d
-            ):
-                return _moves(cand, words[i], d)
+        for ham, w in zip(dists, words):
+            if ham > d:
+                if ham <= 2 * d:
+                    if w not in sh:
+                        sh[w] = sh_cost(cand, w)
+                    if sh[w] <= d:
+                        continue
+                return _moves(cand, w, d)
         return None  # cand is a witness
 
     root_dists = [hamming_distance(words[0], w) for w in words]

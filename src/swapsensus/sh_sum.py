@@ -55,6 +55,7 @@ from .core import (
     Word,
     _Record,
     check_bounds,
+    columns,
     decide_sum,
     timed,
 )
@@ -212,7 +213,7 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     grams: list[dict[str, int]] = [{}] * (n + 1)
     ending: list[dict[str, list[tuple[str, int]]]] = [{}] * (n + 1)
     dirty: list[int] = []
-    for p, col in enumerate(map("".join, zip(*reversed(words)))):
+    for p, col in enumerate(columns(reversed(words))):
         if col.count(col[0]) == k:
             continue
         dirty.append(p)

@@ -57,8 +57,8 @@ class SwapStr(_Record):
         return self.bits
 
 
-def swap_string(s: Word, t: Word) -> SwapStr:
-    """The unique swap permutation transforming s into t.
+def _forced_swaps(s: Word, t: Word) -> list[int]:
+    """The 0-based left ends of the swaps that transform s into t.
 
     Raises LengthMismatch on unequal lengths and NotMatching (carrying the
     1-based position of the first forced swap that fails) when no swap
@@ -67,7 +67,7 @@ def swap_string(s: Word, t: Word) -> SwapStr:
     n = len(s)
     if len(t) != n:
         raise LengthMismatch(f"|s|={n} vs |t|={len(t)}")
-    bits = bytearray(b"0") * (n - 1)
+    swaps: list[int] = []
     taken = -1  # right end of the last swap, already accounted for
     for i in compress(range(n), map(ne, s, t)):
         if i == taken:
@@ -76,11 +76,24 @@ def swap_string(s: Word, t: Word) -> SwapStr:
         if i + 1 < n and s[i] == t[i + 1] and s[i + 1] == t[i]:
             # Symbols are distinct automatically: s[i+1] == t[i] != s[i], so
             # position i+1 mismatches too and is the next one drawn.
-            bits[i] = ord("1")
+            swaps.append(i)
             taken = i + 1
             continue
         raise NotMatching(i + 1)
-    return SwapStr(bits.decode(), n)
+    return swaps
+
+
+def swap_string(s: Word, t: Word) -> SwapStr:
+    """The unique swap permutation transforming s into t.
+
+    Raises LengthMismatch on unequal lengths and NotMatching (carrying the
+    1-based position of the first forced swap that fails) when no swap
+    permutation exists.
+    """
+    bits = bytearray(b"0") * (len(s) - 1)
+    for i in _forced_swaps(s, t):
+        bits[i] = ord("1")
+    return SwapStr(bits.decode(), len(s))
 
 
 def apply_swaps(s: Word, h: SwapStr) -> Word:
@@ -101,7 +114,7 @@ def apply_swaps(s: Word, h: SwapStr) -> Word:
 def swap_distance(s: Word, t: Word) -> float:
     """Number of swaps between matching words, INF otherwise."""
     try:
-        return swap_string(s, t).popcount
+        return len(_forced_swaps(s, t))
     except NotMatching:
         return INF
 

@@ -14,7 +14,11 @@ now visits only the mismatching ones, and the tests hold each pair to the
 same answers (witnesses, failure positions). ``scan_sum_dp`` is the
 package's former sum DP, which steps every row of the table; the package now
 steps only the rows next to a disagreeing column, and the tests hold both to
-the same tables, witnesses and state counts.
+the same tables, witnesses and state counts. ``scan_disentangle`` is the
+package's former disentanglement, which swaps copies of all k words and
+finds each column's movers by a loop over them; the package now reads the
+movers from the input's columns and rebuilds only the words that moved, and
+the tests hold both to the same records.
 
 The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
@@ -34,6 +38,9 @@ from operator import itemgetter
 from typing import Iterator
 
 from swapsensus import (
+    CertificationFailure,
+    Disentanglement,
+    Infeasible,
     Instance,
     LengthMismatch,
     MixedRadiusQuery,
@@ -239,6 +246,128 @@ def scan_sum_dp(words: tuple[str, ...]) -> tuple[str, int, list[tuple], int]:
     ]
     best_cost, best_word = min(rows[n].values())
     return best_word, best_cost, table, len(table)
+
+
+def scan_disentangle(inst: Instance) -> Disentanglement | Infeasible:
+    """The disentanglement by a scan that swaps copies of every word.
+
+    Copies all k words into lists, and inside a tangled interval finds the
+    movers by a loop over all k words at each column, reading the swapped
+    copies; the safety net encodes every result, repeats included.
+    """
+    k, n = inst.k, inst.n
+
+    # Words have equal length, so equal counts of word 1's symbols mean
+    # equal symbol multisets.
+    sig0 = Counter(inst.words[0]).items()
+    for j in range(1, k):
+        w = inst.words[j]
+        if any(w.count(b) != c for b, c in sig0):
+            return Infeasible(
+                f"word {j + 1} has a different symbol multiset than word 1"
+            )
+
+    words = [list(w) for w in inst.words]
+    cols = list(map("".join, zip(*inst.words)))
+    budgets = [0] * k
+    intervals: list[tuple[int, int]] = []
+
+    # Left of the scan every column agrees, or pairs benignly with its
+    # neighbour, and the symbol multisets agree; so the last column agrees
+    # whenever the scan reaches it, and a dirty column always has a right
+    # neighbour to swap with. The scan reads the input's columns: a tangled
+    # interval's swaps stay inside it and the scan resumes after it, so no
+    # swap has touched the column under scan or its right neighbour yet.
+    # Inside an interval, the frontier reads the swapped words instead.
+    i = 0  # 0-based column under scan
+    while i < n:
+        if cols[i].count(cols[i][0]) == k:
+            i += 1
+            continue
+        column = set(cols[i])
+
+        # Dirty column: benign if the 2-gram set is exactly {xy, yx}.
+        grams = set(zip(cols[i], cols[i + 1]))
+        if len(grams) == 2:
+            g1, g2 = sorted(grams)
+            if g1 == (g2[1], g2[0]) and g1[0] != g1[1]:
+                i += 2
+                continue
+
+        # Tangled interval starting at i0 = i. Strings that cannot swap
+        # (i0, i0+1) pin the match's symbol there; no swap has touched
+        # either column yet.
+        i0 = i
+        pinned = {a for a, b in zip(cols[i0], cols[i0 + 1]) if b not in column or a == b}
+        if not pinned:
+            return Infeasible(
+                f"column {i0 + 1}: every word could swap, no symbol is pinned",
+                column=i0 + 1,
+            )
+        if len(pinned) > 1:
+            return Infeasible(
+                f"column {i0 + 1}: words that cannot swap disagree "
+                f"({sorted(pinned)})",
+                column=i0 + 1,
+            )
+        (forced,) = pinned
+
+        # Frontier propagation: column p carries a forced symbol. Strings
+        # mismatching it must swap (p, p+1); the swap must bring the forced
+        # symbol in, and all swappers must agree on what they push to p+1
+        # (that symbol becomes forced next). Column i0 is dirty, so some
+        # string mismatches there.
+        p = i0
+        while True:
+            movers = [j for j in range(k) if words[j][p] != forced]
+            if not movers:
+                intervals.append((i0 + 1, p + 1))  # 1-based inclusive
+                break
+            bad = next((j for j in movers if words[j][p + 1] != forced), None)
+            if bad is not None:
+                return Infeasible(
+                    f"column {p + 1}: word {bad + 1} "
+                    f"cannot bring the forced symbol {forced!r} in by a swap",
+                    column=p + 1,
+                )
+            revealed = {words[j][p] for j in movers}
+            if len(revealed) > 1:
+                return Infeasible(
+                    f"column {p + 1}: swapping words disagree on the symbol "
+                    f"pushed to column {p + 2} ({sorted(revealed)})",
+                    column=p + 1,
+                )
+            for j in movers:
+                words[j][p], words[j][p + 1] = words[j][p + 1], words[j][p]
+                budgets[j] += 1
+            (forced,) = revealed
+            p += 1
+        i = p + 1
+
+    strings_prime = tuple("".join(w) for w in words)
+
+    # Safety net: all results must match the first one, and all pairwise XORs
+    # of their swap strings must be free of "11" (pairwise matching, by the
+    # three-way analysis). Each swap string is valid, so an XOR holds "11" at
+    # (i, i+1) exactly when one string has a 1 at i and the other a 1 at i+1:
+    # exactly when the union of all their ones holds adjacent positions
+    # (test_swaps::test_union_adjacency_is_pairwise_collision). The union is
+    # the bitwise OR of the strings read as binary numbers.
+    try:
+        hs = tuple(swap_string(strings_prime[0], w) for w in strings_prime)
+    except NotMatching as exc:
+        raise CertificationFailure(
+            f"disentangled words do not match the first one: {exc}"
+        ) from exc
+    union = 0
+    for h in hs:
+        union |= int(h.bits or "0", 2)
+    if union & union >> 1:
+        raise CertificationFailure("disentangled words do not pairwise match")
+
+    return Disentanglement(
+        strings_prime, tuple(budgets), sum(budgets), tuple(intervals), hs
+    )
 
 
 class OutOfRange(SwapsensusError):

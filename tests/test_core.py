@@ -117,6 +117,23 @@ class TestParseFormat:
             parse_instance("ab cd\nabcd\n")
         assert exc.value.line == 1
         assert exc.value.symbol == " "
+        # Two different whitespace symbols: the error names the first.
+        with pytest.raises(InvalidSymbol) as exc:
+            parse_instance("abcde\na\tb c\n")
+        assert exc.value.line == 2
+        assert exc.value.symbol == "\t"
+        assert str(exc.value) == "invalid symbol '\\t' in word at line 2"
+
+    def test_split_breaks_exactly_at_isspace(self):
+        # parse_instance finds inner whitespace with str.split(); on every
+        # code point, split() must break where str.isspace() holds, and
+        # nowhere else.
+        differ = [
+            c for c in map(chr, range(sys.maxunicode + 1))
+            if (len(("a" + c + "b").split()) == 2) != c.isspace()
+        ]
+        assert differ == []
+        assert sum(map(str.isspace, map(chr, range(sys.maxunicode + 1)))) == 29
 
     @given(instances())
     def test_round_trip(self, inst: Instance):

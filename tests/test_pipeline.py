@@ -274,6 +274,52 @@ def test_trace_encoding_is_the_certified_one():
     assert checked > 40
 
 
+def test_bit_stage_sees_the_dirty_bit_columns_only(monkeypatch):
+    # A bit column is dirty where some encoding holds a one. The Hamming
+    # solvers get rows only that wide (one column when none is dirty), and
+    # the answers are still the certified ones.
+    widths: list[int] = []
+
+    def spy(name, instance_of):
+        real = getattr(hamming, name)
+
+        def logged(arg):
+            widths.append(instance_of(arg).n)
+            return real(arg)
+
+        monkeypatch.setattr(hamming, name, logged)
+
+    spy("sum_consensus_ham", lambda inst: inst)
+    spy("radius_consensus_ham_mixed", lambda q: q.budgeted.instance)
+    spy("rs_consensus_ham_mixed", lambda q: q.budgeted.instance)
+    rng = random.Random(504)
+    cut = 0
+    for _ in range(60):
+        centre = "".join(rng.choice("abc") for _ in range(rng.randint(2, 40)))
+        words = []
+        for _ in range(rng.randint(1, 6)):  # proper swap sets on one centre
+            bits: list[str] = []
+            for p in range(len(centre) - 1):
+                can = (not bits or bits[-1] == "0") and centre[p] != centre[p + 1]
+                bits.append("1" if can and rng.random() < 0.1 else "0")
+            words.append(ref.apply_bits(centre, "".join(bits)))
+        inst = Instance(tuple(words))
+        dz = disentangle(inst)
+        dirty = {p for h in dz.encoded for p in h.ones()}
+        for solver, args in (
+            (sum_consensus_swap, ()),
+            (radius_consensus_swap, (len(centre),)),
+            (rs_consensus_swap, (len(centre), len(centre) * len(words))),
+        ):
+            widths.clear()
+            ans, trace = solver(inst, *args)
+            assert ans.feasible
+            check_trace(inst, ans, trace)
+            assert widths == ([] if inst.n == 1 else [max(len(dirty), 1)])
+            cut += inst.n - 1 > len(dirty)
+    assert cut > 100
+
+
 def test_elapsed_covers_early_exits(monkeypatch):
     # stats.elapsed times the whole call, so answers that stop right after
     # disentanglement or a budget precheck still report their time, and so

@@ -74,6 +74,32 @@ class TestKnownInstances:
         assert len(ham_calls) == 3
         assert len(sh_calls) == 8_098
 
+    def test_a_repeated_word_is_priced_once_per_node(self, monkeypatch):
+        # Each word of gen_planted's instances occurs twice. The search sees
+        # the same first violator and prune, so its nodes and witness stay
+        # the same, and it prices no more words than without the repeats;
+        # only the certificate, which recomputes every input word's
+        # distance, pays for them (789 calls in all if the search priced
+        # each copy at each node).
+        calls = count_calls(monkeypatch, sh_radius, "sh_cost")
+        totals = [0, 0]
+        for seed in range(6):
+            inst, _ = gen_planted(seed, 16, 4, 4, 3)
+            twice = Instance(inst.words + inst.words)
+            for d in (2, 3):
+                calls.clear()
+                once_ans = radius_consensus_sh(inst, d)
+                once = len(calls)
+                calls.clear()
+                twice_ans = radius_consensus_sh(twice, d)
+                assert twice_ans.solution == once_ans.solution
+                assert twice_ans.stats.nodes_expanded == once_ans.stats.nodes_expanded
+                repeats_certified = inst.k if once_ans.feasible else 0
+                assert len(calls) == once + repeats_certified, (seed, d)
+                totals[0] += once
+                totals[1] += len(calls)
+        assert totals == [589, 625]
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             radius_consensus_sh(Instance(("ab",)), -1)

@@ -2,24 +2,33 @@
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 
 import pytest
 
 from conftest import random_instance
 from swapsensus import (
+    BudgetedInstance,
     Instance,
     InvalidQuery,
+    MixedRadiusQuery,
+    MixedRadiusSumQuery,
     OracleQuery,
     Radius,
     RadiusSum,
     Sum,
     brute_force,
+    gen_planted,
     hamming_distance,
+    radius_consensus_ham_mixed,
     radius_consensus_swap,
+    rs_consensus_ham_mixed,
     rs_consensus_swap,
     sh_cost,
     solve,
+    sum_consensus_ham,
     sum_consensus_sh,
     sum_consensus_swap,
     swap_distance,
@@ -175,3 +184,63 @@ def test_budgets_and_sum_decision():
     assert no.reason == "minimum distance sum is 5 > 4"
     yes, _ = solve("hamming", "sum", inst, D=5, budgets=(1, 2))
     assert yes.per_string_distances == (1, 4)
+
+
+def test_hamming_answers_are_the_solvers_on_the_full_words():
+    # solve answers a Hamming question on the dirty columns only and puts
+    # the clean columns back. The answers are the solvers' own on the full
+    # words, reasons and radius node counts included; the radius-sum search
+    # loses the one-branch levels of the clean columns.
+    rng = random.Random(811)
+    clean_seen = all_clean = 0
+    for _ in range(400):
+        n, k = rng.randint(1, 9), rng.randint(1, 5)
+        centre = "".join(rng.choice("abc") for _ in range(n))
+        words = tuple(
+            "".join(c if rng.random() < 0.8 else rng.choice("abc") for c in centre)
+            for _ in range(k)
+        )
+        inst = Instance(words)
+        budgets = tuple(rng.randint(0, 1) for _ in range(k))
+        d, D = rng.randint(0, 3), rng.randint(0, 3 * k)
+        budgeted = BudgetedInstance(inst, budgets)
+        full = {
+            "radius": radius_consensus_ham_mixed(MixedRadiusQuery(budgeted, d)),
+            "radius-sum": rs_consensus_ham_mixed(MixedRadiusSumQuery(budgeted, d, D)),
+            "sum": sum_consensus_ham(inst),
+        }
+        bounds = {"radius": (d, None), "radius-sum": (d, D), "sum": (None, None)}
+        for objective, direct in full.items():
+            ans, _ = solve("hamming", objective, inst, *bounds[objective], budgets)
+            assert (ans.feasible, ans.solution, ans.reason) == (
+                direct.feasible, direct.solution, direct.reason), (words, objective)
+            if ans.feasible:
+                expect = tuple(
+                    x + v for x, v in zip(budgets, direct.per_string_distances))
+                assert ans.per_string_distances == expect
+            if objective == "radius":
+                assert ans.stats.nodes_expanded == direct.stats.nodes_expanded
+            else:
+                assert ans.stats.nodes_expanded <= direct.stats.nodes_expanded
+        clean = sum(len(set(col)) == 1 for col in zip(*words))
+        clean_seen += 0 < clean < n
+        all_clean += clean == n
+    assert clean_seen > 100 and all_clean > 20
+
+
+def test_radius_sum_nodes_do_not_grow_with_n():
+    # At fixed d and k, the radius-sum search's nodes are a function of the
+    # dirty columns, not of n: clean columns add no search level.
+    ns = (25, 50, 100, 200, 400, 800)
+    medians = []
+    for n in ns:
+        nodes = []
+        for seed in range(6):
+            inst, _ = gen_planted(seed, n, 8, 4, 3)
+            ans, _ = solve("hamming", "radius-sum", inst, 3, 24)
+            nodes.append(ans.stats.nodes_expanded)
+        medians.append(statistics.median(nodes))
+    fit = statistics.linear_regression(
+        [math.log(n) for n in ns], [math.log(m) for m in medians]
+    )
+    assert fit.slope <= 0.5, (fit.slope, medians)
