@@ -60,4 +60,6 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__getattr__("__all__")))
+    # Reading __all__ first loads every submodule, which binds its name here.
+    exported = __getattr__("__all__")
+    return sorted(set(globals()) | set(exported))

@@ -284,19 +284,13 @@ class SearchStats(_Record):
         self.elapsed = elapsed
 
 
-def _check_stats(stats: SearchStats) -> SearchStats:
-    if min(stats.nodes_expanded, stats.dp_states, stats.oracle_enumerated) < 0:
-        raise ValueError("negative counter in search stats")
-    return stats
-
-
 class ConsensusAnswer(_Record):
     """Outcome of a consensus solve: a certified witness or an infeasibility report.
 
     When feasible, ``per_string_distances`` (and therefore ``max_distance`` and
     ``sum_distance``) are recomputed from the solution by the relevant distance
     function; they are never echoed from internal search state. ``stats``
-    defaults to fresh counters.
+    defaults to fresh counters; a negative counter raises ``ValueError``.
     """
 
     __slots__ = (
@@ -312,8 +306,11 @@ class ConsensusAnswer(_Record):
     _defaults = {"stats": None, "reason": None}
 
     def _check(self) -> None:
-        if self.stats is None:
+        stats = self.stats
+        if stats is None:
             _set_field(self, "stats", SearchStats())
+        elif min(stats.nodes_expanded, stats.dp_states, stats.oracle_enumerated) < 0:
+            raise ValueError("negative counter in search stats")
 
     @property
     def status(self) -> str:
@@ -331,15 +328,13 @@ class ConsensusAnswer(_Record):
             per_string_distances,
             max(per_string_distances),
             sum(per_string_distances),
-            _check_stats(stats or SearchStats()),
+            stats,
             None,
         )
 
     @staticmethod
     def none(reason: str, stats: SearchStats | None = None) -> "ConsensusAnswer":
-        return ConsensusAnswer(
-            False, None, None, None, None, _check_stats(stats or SearchStats()), reason
-        )
+        return ConsensusAnswer(False, None, None, None, None, stats, reason)
 
 
 def decide_sum(

@@ -32,7 +32,7 @@ from itertools import compress, repeat
 from operator import ne
 
 from .core import CertificationFailure, Instance, NotMatching, _Record, columns
-from .swaps import swap_string
+from .swaps import _apply, swap_string
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
@@ -162,14 +162,8 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
 
     # Only the words that took a swap are rebuilt. A word's swaps lie at
     # distinct, non-adjacent positions (a mover at p holds the forced
-    # symbol at p + 1), so they commute.
-    strings_prime = list(inst.words)
-    for j, at in enumerate(swaps):
-        if at:
-            w = list(strings_prime[j])
-            for q in at:
-                w[q], w[q + 1] = w[q + 1], w[q]
-            strings_prime[j] = "".join(w)
+    # symbol at p + 1), as _apply asks.
+    strings_prime = [_apply(w, at) if at else w for w, at in zip(inst.words, swaps)]
     budgets = tuple(map(len, swaps))
 
     # Safety net: all results must match the first one, and all pairwise XORs

@@ -1,15 +1,21 @@
-"""Swap permutations encoded as binary strings.
+"""Swap permutations encoded as binary strings, and the greedy trace.
 
 A swap exchanges two adjacent distinct symbols. A set of pairwise disjoint,
 non-adjacent swaps is encoded as a binary string of length n-1 whose bit p
 (1-based) marks a swap of positions (p, p+1); validity means no two adjacent
-ones. Between matching words this encoding is unique and is found by one
-left-to-right pass over the mismatching positions only: the first one forces
-a swap there.
+ones.
+
+One greedy left-to-right trace, ``_trace``, serves both of the package's
+order-sensitive distances. It visits the mismatching positions only: at each
+one not yet covered it swaps if the 2-window is the reversal of the target's
+and substitutes otherwise. Between matching words it substitutes nowhere and
+its swaps are the unique swap permutation; in general its swaps plus its
+substitutions are the swap+Hamming distance (``sh_metric``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress
 from operator import ne
 
@@ -57,30 +63,45 @@ class SwapStr(_Record):
         return self.bits
 
 
-def _forced_swaps(s: Word, t: Word) -> list[int]:
-    """The 0-based left ends of the swaps that transform s into t.
+def _trace(s: Word, t: Word) -> tuple[list[int], list[int]]:
+    """The greedy trace from s to t: its swaps' left ends and its substitutions.
 
-    Raises LengthMismatch on unequal lengths and NotMatching (carrying the
-    1-based position of the first forced swap that fails) when no swap
-    permutation exists.
+    Both lists are ascending and 0-based. Raises LengthMismatch on unequal
+    lengths. The trace swaps (i, i+1) at each uncovered mismatch i whose
+    2-window is reversed in t and substitutes at every other one. For the
+    swap distance the first uncovered mismatch forces the swap (i, i+1),
+    which fails exactly where the trace substitutes; up to that point the
+    two passes agree, so the first substitution is the first forced swap
+    that fails, and no substitution means the swaps are the unique swap
+    permutation from s to t.
     """
     n = len(s)
     if len(t) != n:
         raise LengthMismatch(f"|s|={n} vs |t|={len(t)}")
     swaps: list[int] = []
+    subs: list[int] = []
     taken = -1  # right end of the last swap, already accounted for
     for i in compress(range(n), map(ne, s, t)):
         if i == taken:
             continue
-        # First unmatched symbol: the swap (i, i+1) is forced.
         if i + 1 < n and s[i] == t[i + 1] and s[i + 1] == t[i]:
-            # Symbols are distinct automatically: s[i+1] == t[i] != s[i], so
-            # position i+1 mismatches too and is the next one drawn.
+            # Reversed 2-window; symbols distinct since s[i+1] == t[i] != s[i],
+            # so i+1 mismatches too and skipping it enforces "no swap right
+            # after a swap".
             swaps.append(i)
             taken = i + 1
-            continue
-        raise NotMatching(i + 1)
-    return swaps
+        else:
+            subs.append(i)
+    return swaps, subs
+
+
+def _apply(s: Word, at: Iterable[int]) -> Word:
+    """s with (i, i+1) exchanged for each 0-based i in at."""
+    out = list(s)
+    # The positions are distinct and non-adjacent, so the exchanges commute.
+    for i in at:
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return "".join(out)
 
 
 def swap_string(s: Word, t: Word) -> SwapStr:
@@ -90,8 +111,11 @@ def swap_string(s: Word, t: Word) -> SwapStr:
     1-based position of the first forced swap that fails) when no swap
     permutation exists.
     """
+    swaps, subs = _trace(s, t)
+    if subs:
+        raise NotMatching(subs[0] + 1)
     bits = bytearray(b"0") * (len(s) - 1)
-    for i in _forced_swaps(s, t):
+    for i in swaps:
         bits[i] = ord("1")
     return SwapStr(bits.decode(), len(s))
 
@@ -104,19 +128,13 @@ def apply_swaps(s: Word, h: SwapStr) -> Word:
     """
     if h.home_length != len(s):
         raise LengthMismatch(f"swap string for length {h.home_length}, word of {len(s)}")
-    out = list(s)
-    for i, b in enumerate(h.bits):
-        if b == "1":
-            out[i], out[i + 1] = out[i + 1], out[i]
-    return "".join(out)
+    return _apply(s, [i for i, b in enumerate(h.bits) if b == "1"])
 
 
 def swap_distance(s: Word, t: Word) -> float:
     """Number of swaps between matching words, INF otherwise."""
-    try:
-        return len(_forced_swaps(s, t))
-    except NotMatching:
-        return INF
+    swaps, subs = _trace(s, t)
+    return INF if subs else len(swaps)
 
 
 def xor_compose(h1: str | SwapStr, h2: str | SwapStr) -> str:

@@ -9,9 +9,10 @@ a swap at a given position, which is the key of the sum DP's table; the
 tests check every settled state against it.
 
 ``scan_swap_string`` and ``scan_sh_distance`` are the package's former
-swap-string and swap+Hamming passes, which read every position; the package
-now visits only the mismatching ones, and the tests hold each pair to the
-same answers (witnesses, failure positions). ``scan_sum_dp`` is the
+swap-string and swap+Hamming passes, which read every position. The package
+now runs one greedy trace for both distances, visiting only the mismatching
+positions, and these two are its references: the tests hold the trace's
+readers to the same answers (witnesses, failure positions). ``scan_sum_dp`` is the
 package's former sum DP, which steps every row of the table; the package now
 steps only the rows next to a disagreeing column, and the tests hold both to
 the same tables, witnesses and state counts. ``scan_disentangle`` is the

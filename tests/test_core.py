@@ -170,6 +170,17 @@ class TestConsensusAnswer:
         keys = set(SearchStats().as_dict())
         assert keys == {"nodes_expanded", "dp_states", "oracle_enumerated", "elapsed"}
 
+    def test_negative_counter_rejected_however_built(self):
+        builds = (
+            lambda stats: ConsensusAnswer.found("ab", (1, 0), stats),
+            lambda stats: ConsensusAnswer.none("because", stats),
+            lambda stats: ConsensusAnswer(False, None, None, None, None, stats),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="negative counter"):
+                build(SearchStats(nodes_expanded=-1))
+            assert build(SearchStats(nodes_expanded=1)).stats.nodes_expanded == 1
+
 
 def _records() -> dict[str, tuple[type, dict]]:
     """One valid record of each kind: its class and its fields in order."""
@@ -334,6 +345,30 @@ class TestMisc:
         ]
         union = {name for mod in submodules for name in getattr(mod, "__all__", ())}
         assert set(exported) - {"__version__"} == union
+
+    def test_dir_lists_the_exports_and_submodules(self):
+        # The names the package resolves: its exports and the submodules
+        # whose __all__ lists make them. The first dir() of a fresh
+        # interpreter, before any submodule is loaded, lists them too.
+        names = set(swapsensus.__all__) | {
+            info.name
+            for info in pkgutil.iter_modules(swapsensus.__path__)
+            if hasattr(importlib.import_module(f"swapsensus.{info.name}"), "__all__")
+        }
+        listed = dir(swapsensus)
+        assert listed == sorted(listed)
+        assert names <= set(listed)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, swapsensus; print(json.dumps(dir(swapsensus)))"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout)
+        assert fresh == sorted(fresh)
+        assert names <= set(fresh), sorted(names - set(fresh))
 
     def test_every_imported_name_is_used(self):
         # No linter runs here, so the package's stale imports are caught by

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -11,10 +12,12 @@ import reference as ref
 from swapsensus import (
     INF,
     LengthMismatch,
+    NotMatching,
     SHWitness,
     sh_cost,
     sh_distance,
     swap_distance,
+    swap_string,
 )
 
 
@@ -186,9 +189,25 @@ class TestMetricProperties:
 
     def test_at_most_swap_distance_in_general(self):
         rng = random.Random(207)
-        for _ in range(2000):
-            s, t = self._random_pair(rng)
+        pairs = [self._random_pair(rng) for _ in range(2000)]
+        for n in range(1, 5):
+            words = ["".join(p) for p in itertools.product("abc", repeat=n)]
+            pairs += itertools.product(words, repeat=2)
+        for s, t in pairs:
             d = swap_distance(s, t)
             if not math.isinf(d):
                 assert sh_cost(s, t) <= d
             assert sh_cost(s, t) <= len(s)
+            # Both distances read one greedy trace: the swap distance is
+            # finite exactly when the trace substitutes nowhere, and the
+            # first substitution is where the forced swap fails.
+            _, w = sh_distance(s, t)
+            assert math.isinf(d) == bool(w.substitutions), (s, t)
+            if not w.substitutions:
+                assert d == len(w.swaps), (s, t)
+            try:
+                h = swap_string(s, t)
+            except NotMatching as exc:
+                assert w.substitutions[:1] == (exc.position,), (s, t)
+            else:
+                assert h.popcount == d, (s, t)
