@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # looked up in them in this order, each loaded until one lists it.
 _SUBMODULES = (
     "core", "disentangle", "hamming", "oracle", "pipeline",
-    "sh_metric", "sh_radius", "sh_sum", "solve", "swaps",
+    "sh_radius", "sh_sum", "solve", "swaps",
 )
 
 

@@ -153,9 +153,7 @@ def _finish(answer: ConsensusAnswer, output: str, extra: dict | None = None) -> 
 
 def distance(metric: str, output: str, word1: str, word2: str) -> NoReturn:
     """Distance between two words, with the operation witness."""
-    from .hamming import hamming_distance
-    from .sh_metric import sh_distance
-    from .swaps import swap_string
+    from .swaps import hamming_distance, sh_distance, swap_string
 
     if not word1 or not word2:
         _fail("words must be non-empty")

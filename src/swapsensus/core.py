@@ -337,6 +337,37 @@ class ConsensusAnswer(_Record):
         return ConsensusAnswer(False, None, None, None, None, stats, reason)
 
 
+def certified(
+    words: Iterable[Word],
+    witness: Word,
+    distance: Callable[[Word, Word], float],
+    stats: SearchStats | None = None,
+    d: int | None = None,
+    D: int | None = None,
+    budgets: tuple[int, ...] | None = None,
+) -> ConsensusAnswer:
+    """The answer for a witness, its distances recomputed from scratch.
+
+    Each word's distance to ``witness`` must be within its slack, ``d``
+    minus its consumed budget, and their sum within ``D`` minus the budgets'
+    sum; a bound that is None is not checked, and no budgets means zeros.
+    Anything beyond raises CertificationFailure.
+    """
+    dists = tuple(float(distance(w, witness)) for w in words)
+    budgets = budgets or (0,) * len(dists)
+    if d is not None:
+        for i, (dist, x) in enumerate(zip(dists, budgets)):
+            if dist > d - x:
+                raise CertificationFailure(
+                    f"word {i + 1}: recomputed distance {dist:g} > slack {d - x:g}"
+                )
+    if D is not None and sum(dists) > D - sum(budgets):
+        raise CertificationFailure(
+            f"recomputed distance sum {sum(dists):g} > {D - sum(budgets):g}"
+        )
+    return ConsensusAnswer.found(witness, dists, stats)
+
+
 def decide_sum(
     answer: ConsensusAnswer, D: int | None, what: str = "distance sum"
 ) -> ConsensusAnswer:

@@ -1,11 +1,12 @@
-"""Hamming-distance consensus: column majority and budgeted branching.
+"""Hamming-distance consensus solvers: column majority and budgeted branching.
 
 The budgeted ("mixed") variants give each input word a consumed budget x_s, so
 its effective radius slack is d - x_s; plain consensus is the all-zero-budget
 case. The radius solver is the classic bounded search tree, on a search
 routine that the swap+substitution radius tree shares; the radius+sum solver
 is a complete depth-first search over column-restricted words with
-admissible pruning.
+admissible pruning. The distance itself, ``hamming_distance``, lives in
+``swaps`` beside the other two.
 """
 
 from __future__ import annotations
@@ -15,23 +16,22 @@ from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    CertificationFailure,
     ConsensusAnswer,
     Instance,
-    LengthMismatch,
     SearchStats,
     Word,
     _Record,
+    certified,
     check_bounds,
     columns,
     depth_first,
     timed,
 )
+from .swaps import hamming_distance
 
 __all__ = [
     "MixedRadiusQuery",
     "MixedRadiusSumQuery",
-    "hamming_distance",
     "sum_consensus_ham",
     "radius_consensus_ham_mixed",
     "rs_consensus_ham_mixed",
@@ -68,28 +68,6 @@ def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str
     if D is not None and sum(budgets) > D:
         return f"consumed budgets alone sum to {sum(budgets)} > D={D}"
     return None
-
-
-def _certify(
-    dists: tuple[float, ...], slacks: list[int], sum_budget: int | None = None
-) -> None:
-    """Check a witness's recomputed distances against its slacks and sum budget."""
-    for i, (dist, slack) in enumerate(zip(dists, slacks)):
-        if dist > slack:
-            raise CertificationFailure(
-                f"word {i + 1}: recomputed distance {int(dist)} > slack {slack}"
-            )
-    if sum_budget is not None and sum(dists) > sum_budget:
-        raise CertificationFailure(
-            f"recomputed distance sum {int(sum(dists))} > {sum_budget}"
-        )
-
-
-def hamming_distance(s: Word, t: Word) -> int:
-    """Number of mismatching positions."""
-    if len(s) != len(t):
-        raise LengthMismatch(f"|s|={len(s)} vs |t|={len(t)}")
-    return sum(map(ne, s, t))
 
 
 def _radius_search(
@@ -158,8 +136,7 @@ def sum_consensus_ham(inst: Instance) -> ConsensusAnswer:
     solution = "".join(
         max(sorted(set(col)), key=col.count) for col in columns(inst.words)
     )
-    dists = tuple(float(hamming_distance(w, solution)) for w in inst.words)
-    return ConsensusAnswer.found(solution, dists)
+    return certified(inst.words, solution, hamming_distance)
 
 
 @timed
@@ -212,9 +189,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
         return ConsensusAnswer.none(
             f"no word within slack of every input at radius {q.d}", stats
         )
-    dists = tuple(float(hamming_distance(w, witness)) for w in words)
-    _certify(dists, slacks)
-    return ConsensusAnswer.found(witness, dists, stats)
+    return certified(words, witness, hamming_distance, stats, q.d, budgets=q.budgeted.budgets)
 
 
 @timed
@@ -289,7 +264,4 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         return ConsensusAnswer.none(
             f"no word meets radius {q.d} slacks with sum within {sum_budget}", stats
         )
-    witness = best[1]
-    dists = tuple(float(hamming_distance(w, witness)) for w in words)
-    _certify(dists, slacks, sum_budget)
-    return ConsensusAnswer.found(witness, dists, stats)
+    return certified(words, best[1], hamming_distance, stats, q.d, q.D, q.budgeted.budgets)

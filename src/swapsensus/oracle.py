@@ -1,11 +1,11 @@
 """Ground truth by enumeration, a padding gadget, and reproducible generators.
 
 The brute-force solver shares nothing with the real solvers except the
-distance functions themselves, so agreement between the two is meaningful
-evidence. Enumeration is restricted to the instance alphabet: a solution
-under the swap distance must use exactly each word's symbols, and under the
-Hamming and swap+substitution distances any out-of-instance symbol in a
-candidate is dominated by an in-instance one.
+distance functions themselves, all three in ``swaps``, so agreement between
+the two is meaningful evidence. Enumeration is restricted to the instance
+alphabet: a solution under the swap distance must use exactly each word's
+symbols, and under the Hamming and swap+substitution distances any
+out-of-instance symbol in a candidate is dominated by an in-instance one.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .core import (
     check_bounds,
     timed,
 )
-from .hamming import hamming_distance
-from .sh_metric import sh_cost
-from .swaps import swap_distance
+from .swaps import hamming_distance, sh_cost, swap_distance
 
 __all__ = [
     "DEFAULT_CAP",

@@ -15,10 +15,11 @@ budget plus Hamming distance. ``solve`` runs it on the dirty bit columns
 only, where some encoding holds a one, and puts the clean columns' zeroes
 back. Each Hamming solver only returns symbols that occur in its input
 column, so the chosen ones stay in that union. (4) Decode
-the winning bit string back into a word and certify every swap distance,
-recomputed from scratch, against the bit stage's distance and the radius and
-sum bounds; a disagreement raises CertificationFailure, which always means
-an implementation bug.
+the winning bit string back into a word and certify it with
+``core.certified``, which recomputes every swap distance from scratch and
+checks the radius and sum bounds; each distance must then equal the bit
+stage's. A disagreement raises CertificationFailure, which always means an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .core import (
     ConsensusAnswer,
     Instance,
     SearchStats,
-    Word,
     _Record,
+    certified,
     check_bounds,
     decide_sum,
     timed,
@@ -50,24 +51,6 @@ class SwapPipelineTrace(_Record):
     """The full pipeline state of a solve: the output of stages 1 to 4."""
 
     __slots__ = ("disentanglement", "encoded", "h_star", "decoded")
-
-
-def _certify_budget_additivity(
-    inst: Instance, budgets: tuple[int, ...], bit_dists: tuple[float, ...], decoded: Word
-) -> tuple[float, ...]:
-    """Recompute all swap distances from scratch and check the bit-level identity.
-
-    Each word's swap distance to the decoded witness must equal its distance
-    in the bit stage: the consumed budget plus the encoded Hamming distance.
-    """
-    dists = tuple(swap_distance(w, decoded) for w in inst.words)
-    for i, (dist, x, expected) in enumerate(zip(dists, budgets, bit_dists)):
-        if dist != expected:
-            raise CertificationFailure(
-                f"word {i + 1}: recomputed swap distance {dist} != budget {x} "
-                f"+ encoded Hamming {int(expected) - x}"
-            )
-    return dists
 
 
 def _solve(
@@ -104,12 +87,16 @@ def _solve(
 
     h_star = SwapStr(bits, len(base))  # validity checked
     decoded = apply_swaps(base, h_star)
-    dists = _certify_budget_additivity(inst, dz.budgets, bit_dists, decoded)
-    if (d is not None and max(dists) > d) or (D is not None and sum(dists) > D):
-        raise CertificationFailure(
-            f"decoded witness violates bounds: max {max(dists)}, sum {sum(dists)}"
-        )
-    answer = ConsensusAnswer.found(decoded, dists, stats)
+    answer = certified(inst.words, decoded, swap_distance, stats, d, D)
+    # Budget additivity: each swap distance is the word's consumed budget
+    # plus its encoded Hamming distance, as the bit stage reported.
+    dists = answer.per_string_distances
+    for i, (dist, x, expected) in enumerate(zip(dists, dz.budgets, bit_dists)):
+        if dist != expected:
+            raise CertificationFailure(
+                f"word {i + 1}: recomputed swap distance {dist:g} != budget {x} "
+                f"+ encoded Hamming {int(expected) - x}"
+            )
     return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)
 
 

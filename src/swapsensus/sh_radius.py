@@ -25,16 +25,16 @@ from operator import ne
 from typing import Iterable, Iterator
 
 from .core import (
-    CertificationFailure,
     ConsensusAnswer,
     Instance,
     SearchStats,
     Word,
+    certified,
     check_bounds,
     timed,
 )
-from .hamming import _radius_search, hamming_distance
-from .sh_metric import sh_cost
+from .hamming import _radius_search
+from .swaps import hamming_distance, sh_cost
 
 __all__ = ["radius_consensus_sh"]
 
@@ -128,9 +128,4 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
         return ConsensusAnswer.none(
             f"no word within swap+substitution radius {d} of all inputs", stats
         )
-    dists = tuple(float(sh_cost(w, witness)) for w in words)
-    if max(dists) > d:
-        raise CertificationFailure(
-            f"witness exceeds the radius: {int(max(dists))} > {d}"
-        )
-    return ConsensusAnswer.found(witness, dists, stats)
+    return certified(words, witness, sh_cost, stats, d)

@@ -54,12 +54,13 @@ from .core import (
     SearchStats,
     Word,
     _Record,
+    certified,
     check_bounds,
     columns,
     decide_sum,
     timed,
 )
-from .sh_metric import sh_cost
+from .swaps import sh_cost
 
 __all__ = ["DPState", "sum_consensus_sh"]
 
@@ -352,10 +353,9 @@ def sum_consensus_sh(
     check_bounds("sum", None, D)
     stats = SearchStats()
     witness, best_cost, table = _run_dp(inst, stats)
-    dists = tuple(sh_cost(w, witness) for w in inst.words)
-    if sum(dists) != best_cost:
+    answer = certified(inst.words, witness, sh_cost, stats)
+    if answer.sum_distance != best_cost:
         raise CertificationFailure(
-            f"table cost {best_cost} != recomputed sum {sum(dists)}"
+            f"table cost {best_cost} != recomputed sum {answer.sum_distance:g}"
         )
-    answer = ConsensusAnswer.found(witness, tuple(map(float, dists)), stats)
     return decide_sum(answer, D), table

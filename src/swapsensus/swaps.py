@@ -1,16 +1,24 @@
-"""Swap permutations encoded as binary strings, and the greedy trace.
+"""The package's three distances, and swap permutations encoded as bits.
 
-A swap exchanges two adjacent distinct symbols. A set of pairwise disjoint,
-non-adjacent swaps is encoded as a binary string of length n-1 whose bit p
-(1-based) marks a swap of positions (p, p+1); validity means no two adjacent
-ones.
+Hamming distance counts mismatching positions. The swap distance and the
+swap+Hamming distance are order-sensitive, and one greedy left-to-right
+trace, ``_trace``, computes both. It visits the mismatching positions only:
+at each one not yet covered it swaps if the 2-window is the reversal of the
+target's and substitutes otherwise.
 
-One greedy left-to-right trace, ``_trace``, serves both of the package's
-order-sensitive distances. It visits the mismatching positions only: at each
-one not yet covered it swaps if the 2-window is the reversal of the target's
-and substitutes otherwise. Between matching words it substitutes nowhere and
-its swaps are the unique swap permutation; in general its swaps plus its
-substitutions are the swap+Hamming distance (``sh_metric``).
+A swap exchanges two adjacent distinct symbols. The swap distance between
+matching words is the size of the unique set of pairwise disjoint,
+non-adjacent swaps that turns one into the other; between other words it is
+infinite. Between matching words the trace substitutes nowhere and its swaps
+are that set. Such a set is encoded as a binary string of length n-1 whose
+bit p (1-based) marks a swap of positions (p, p+1); validity means no two
+adjacent ones.
+
+The swap+Hamming distance between s and t is the minimum, over all valid
+swap permutations h applicable to s, of |h| plus the Hamming distance of the
+swapped s to t. The trace computes it exactly: its swaps plus its
+substitutions. Ties between equal-cost decompositions are resolved
+canonically as the greedy witness.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ from operator import ne
 from .core import INF, LengthMismatch, NotMatching, Word, _Record
 
 __all__ = [
+    "hamming_distance",
+    "SHWitness",
+    "sh_distance",
+    "sh_cost",
     "SwapStr",
     "swap_string",
     "apply_swaps",
@@ -31,6 +43,13 @@ __all__ = [
 
 # False/True, as bytes 0/1, to the characters "0"/"1".
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def hamming_distance(s: Word, t: Word) -> int:
+    """Number of mismatching positions."""
+    if len(s) != len(t):
+        raise LengthMismatch(f"|s|={len(s)} vs |t|={len(t)}")
+    return sum(map(ne, s, t))
 
 
 class SwapStr(_Record):
@@ -93,6 +112,35 @@ def _trace(s: Word, t: Word) -> tuple[list[int], list[int]]:
         else:
             subs.append(i)
     return swaps, subs
+
+
+class SHWitness(_Record):
+    """An optimal decomposition: swap positions and substitution positions.
+
+    Both tuples are ascending and 1-based; swap positions are pairwise
+    non-adjacent, and no substitution position is touched by a listed swap.
+    Applying the swaps to the source and then substituting the target's
+    symbols at the substitution positions yields the target.
+    """
+
+    __slots__ = ("swaps", "substitutions")
+
+    @property
+    def cost(self) -> int:
+        return len(self.swaps) + len(self.substitutions)
+
+
+def sh_distance(s: Word, t: Word) -> tuple[int, SHWitness]:
+    """Swap+Hamming distance with the canonical greedy witness."""
+    swaps, subs = _trace(s, t)
+    w = SHWitness(tuple(i + 1 for i in swaps), tuple(i + 1 for i in subs))
+    return w.cost, w
+
+
+def sh_cost(s: Word, t: Word) -> int:
+    """Distance only: the length of the greedy trace."""
+    swaps, subs = _trace(s, t)
+    return len(swaps) + len(subs)
 
 
 def _apply(s: Word, at: Iterable[int]) -> Word:

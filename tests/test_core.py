@@ -20,6 +20,7 @@ import swapsensus
 from swapsensus import (
     INF,
     BudgetedInstance,
+    CertificationFailure,
     ConsensusAnswer,
     EmptyInstance,
     Instance,
@@ -28,8 +29,11 @@ from swapsensus import (
     SearchStats,
     UnequalLengths,
     format_instance,
+    hamming_distance,
     parse_instance,
+    swap_distance,
 )
+from swapsensus.core import certified
 
 
 @st.composite
@@ -180,6 +184,47 @@ class TestConsensusAnswer:
             with pytest.raises(ValueError, match="negative counter"):
                 build(SearchStats(nodes_expanded=-1))
             assert build(SearchStats(nodes_expanded=1)).stats.nodes_expanded == 1
+
+
+class TestCertified:
+    WORDS = ("aa", "ab", "bb")
+
+    def test_distances_at_their_bounds_pass(self):
+        # Distances 1, 0, 1 to "ab"; slacks 2-1, 2-0, 2-1 and sum 4-2.
+        stats = SearchStats(nodes_expanded=3)
+        ans = certified(self.WORDS, "ab", hamming_distance, stats, 2, 4, (1, 0, 1))
+        assert ans == ConsensusAnswer.found("ab", (1.0, 0.0, 1.0), stats)
+        assert all(type(x) is float for x in ans.per_string_distances)
+        assert certified(self.WORDS, "ab", hamming_distance, d=1, D=2).feasible
+
+    def test_a_word_beyond_its_slack_is_named(self):
+        with pytest.raises(
+            CertificationFailure, match=r"^word 3: recomputed distance 2 > slack 1$"
+        ):
+            certified(self.WORDS, "aa", hamming_distance, d=2, budgets=(0, 0, 1))
+
+    def test_a_sum_beyond_the_sum_slack(self):
+        # Distances 1, 0, 1: sum 2 > 3 - (1 + 0 + 1).
+        with pytest.raises(CertificationFailure, match=r"^recomputed distance sum 2 > 1$"):
+            certified(self.WORDS, "ab", hamming_distance, D=3, budgets=(1, 0, 1))
+
+    def test_an_infinite_distance_fails_certification(self):
+        with pytest.raises(
+            CertificationFailure, match=r"^word 2: recomputed distance inf > slack 5$"
+        ):
+            certified(("ab", "bb"), "ab", swap_distance, d=5)
+        with pytest.raises(CertificationFailure, match=r"^recomputed distance sum inf > 5$"):
+            certified(("ab", "bb"), "ab", swap_distance, D=5)
+
+    def test_the_distance_runs_once_per_word(self):
+        calls = []
+
+        def distance(w, t):
+            calls.append((w, t))
+            return hamming_distance(w, t)
+
+        certified(self.WORDS, "ab", distance, d=2, D=4)
+        assert calls == [(w, "ab") for w in self.WORDS]
 
 
 def _records() -> dict[str, tuple[type, dict]]:

@@ -373,7 +373,7 @@ class TestCertification:
             return solve(metric, "sum", rows, None, None, budgets)
 
         monkeypatch.setattr(pipeline, "solve", rogue)
-        with pytest.raises(CertificationFailure, match="violates bounds: max 1"):
+        with pytest.raises(CertificationFailure, match=r"^word 2: recomputed distance 1 > slack 0$"):
             radius_consensus_swap(Instance(("ab", "ba")), 0)
 
     def test_distances_are_checked_against_the_bit_stage(self, monkeypatch):

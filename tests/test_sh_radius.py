@@ -106,7 +106,7 @@ class TestKnownInstances:
 
     def test_witness_beyond_the_radius_is_refused(self, monkeypatch):
         monkeypatch.setattr(sh_radius, "_radius_search", lambda *args: "ba")
-        with pytest.raises(CertificationFailure, match="exceeds the radius: 1 > 0"):
+        with pytest.raises(CertificationFailure, match=r"^word 1: recomputed distance 1 > slack 0$"):
             radius_consensus_sh(Instance(("ab", "ab")), 0)
 
 

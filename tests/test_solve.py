@@ -75,6 +75,7 @@ def test_entry_agrees_with_brute_force(metric, objective):
         if not expect:
             continue
         offsets = budgets or (0,) * inst.k
+        assert all(type(x) is float for x in answer.per_string_distances), where
         assert answer.per_string_distances == tuple(
             x + DISTANCE[metric](w, answer.solution) for w, x in zip(inst.words, offsets)
         ), where
