@@ -210,6 +210,12 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
       the best sum found so far (a tie can never beat an earlier, lex-smaller
       witness).
 
+    Only the dirty columns, where the words disagree, are search levels: a
+    clean column has one branch, which costs no word a mismatch, so every
+    leaf holds its symbol there and the leaves keep their lex order. Its
+    symbol is written back before the certificate, and the node count
+    follows the dirty columns, not n.
+
     Returns the minimum-sum witness, lex-min among optima; its distances are
     recomputed from scratch and checked against the slacks and the sum budget.
     """
@@ -218,25 +224,27 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         return ConsensusAnswer.none(over)
     inst = q.budgeted.instance
     words = inst.words
-    k, n = inst.k, inst.n
+    k = inst.k
     slacks = [q.d - x for x in q.budgeted.budgets]
     sum_budget = q.D - sum(q.budgeted.budgets)
     stats = SearchStats()
 
     cols = columns(words)
-    branches = [sorted(set(col)) for col in cols]  # branch order per column
-    # suffix_min[p] = unavoidable mismatch count on positions p..n-1: a
-    # column's most frequent symbol mismatches the fewest words.
-    col_min = [k - max(map(col.count, syms)) for col, syms in zip(cols, branches)]
+    at = [p for p, col in enumerate(cols) if col.count(col[0]) != k]  # the levels
+    dirty = [cols[p] for p in at]
+    branches = [sorted(set(col)) for col in dirty]  # branch order per level
+    # suffix_min[p] = unavoidable mismatch count on levels p..: a column's
+    # most frequent symbol mismatches the fewest words.
+    col_min = [k - max(map(col.count, syms)) for col, syms in zip(dirty, branches)]
     suffix_min = list(accumulate(reversed(col_min), initial=0))[::-1]
 
     # No leaf's total exceeds the slacks' sum, so it caps the sum bound too.
     sum_cap = min(sum_budget, sum(slacks))
     best: tuple[int, str] | None = None
-    prefix = [""] * (n + 1)  # prefix[1..p] spells the node at depth p
+    prefix = [""] * (len(at) + 1)  # prefix[1..p] spells the node at depth p
 
     def expand(node: tuple[str, list[int], int], p: int) -> Iterator[tuple]:
-        # node: its symbol at column p - 1, mismatches per word, total. A
+        # node: its symbol at level p - 1, mismatches per word, total. A
         # generator: the walk runs this body when it first draws a child.
         nonlocal best
         prefix[p], mism, total = node
@@ -244,14 +252,14 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         bound = sum_cap if best is None else min(sum_cap, best[0] - 1)
         if total + suffix_min[p] > bound:
             return
-        if p == n:
+        if p == len(at):
             best = (total, "".join(prefix))
             return
         for b in branches[p]:
             new_mism = mism.copy()
             add = 0
-            for i, w in enumerate(words):
-                if w[p] != b:
+            for i, c in enumerate(dirty[p]):
+                if c != b:
                     new_mism[i] += 1
                     add += 1
                     if new_mism[i] > slacks[i]:
@@ -264,4 +272,6 @@ def rs_consensus_ham_mixed(q: MixedRadiusSumQuery) -> ConsensusAnswer:
         return ConsensusAnswer.none(
             f"no word meets radius {q.d} slacks with sum within {sum_budget}", stats
         )
-    return certified(words, best[1], hamming_distance, stats, q.d, q.D, q.budgeted.budgets)
+    chosen = dict(zip(at, best[1]))  # the clean columns keep word 1's symbols
+    witness = "".join(chosen.get(p, c) for p, c in enumerate(words[0]))
+    return certified(words, witness, hamming_distance, stats, q.d, q.D, q.budgeted.budgets)

@@ -11,10 +11,11 @@ certified, so no stage encodes again. Budget additivity makes swap distances
 to any common match equal to the budget plus the Hamming distance between
 encodings. (3) Solve the corresponding budgeted Hamming problem on the
 encodings with the solver in ``solve``'s table, which reports each word's
-budget plus Hamming distance. ``solve`` runs it on the dirty bit columns
-only, where some encoding holds a one, and puts the clean columns' zeroes
-back. Each Hamming solver only returns symbols that occur in its input
-column, so the chosen ones stay in that union. (4) Decode
+budget plus Hamming distance. The pipeline cuts the bit rows to the union
+of the encodings' ones, the dirty bit columns, before it asks ``solve``, and
+puts the clean columns' zeroes back into the bit witness. Each Hamming
+solver only returns symbols that occur in its input column, so the chosen
+ones stay in that union. (4) Decode
 the winning bit string back into a word and certify it with
 ``core.certified``, which recomputes every swap distance from scratch and
 checks the radius and sum bounds; each distance must then equal the bit
@@ -23,6 +24,8 @@ implementation bug.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .core import (
     CertificationFailure,
@@ -78,12 +81,23 @@ def _solve(
     if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
         stats, bits, bit_dists = SearchStats(), "", dz.budgets
     else:
-        rows = Instance(tuple(h.bits for h in encoded))
+        # Cut the rows to the dirty bit columns, the union of the encodings'
+        # ones (the first encoding is all zeros); one column is kept when
+        # none is dirty. A clean column is 0 in every row and in the bit
+        # witness, so it adds 0 to every distance.
+        union = 0
+        for h in {h.bits for h in encoded}:
+            union |= int(h, 2)
+        at = [p for p, b in enumerate(f"{union:0{inst.n - 1}b}") if b == "1"] or [0]
+        pick = itemgetter(*at)
+        rows = Instance(tuple("".join(pick(h.bits)) for h in encoded))
         ham, _ = solve("hamming", objective, rows, d, D, dz.budgets)
         if not ham.feasible:
             bounds = f"swap radius {d}" + ("" if D is None else f" and sum {D}")
             return ConsensusAnswer.none(f"no common match within {bounds}", ham.stats), None
-        stats, bits, bit_dists = ham.stats, ham.solution, ham.per_string_distances
+        chosen = dict(zip(at, ham.solution))
+        bits = "".join(chosen.get(p, "0") for p in range(inst.n - 1))
+        stats, bit_dists = ham.stats, ham.per_string_distances
 
     h_star = SwapStr(bits, len(base))  # validity checked
     decoded = apply_swaps(base, h_star)

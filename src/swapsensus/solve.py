@@ -17,7 +17,6 @@ from .core import (
     Instance,
     InvalidQuery,
     check_bounds,
-    columns,
     decide_sum,
     timed,
 )
@@ -88,47 +87,17 @@ def solve(
     distance per word, as ``brute_force`` does. Returns ``(answer, detail)``:
     ``detail`` is the ``SwapPipelineTrace`` for the swap metric (None on its
     early exits), the settled DP table for swap+substitution sum (built when
-    first read), else None. A Hamming question is solved on the columns
-    where the words disagree (``_on_dirty_columns``), so the radius-sum
-    search's node count does not grow with clean columns.
-    Raises InvalidQuery (a ValueError) where ``check_query`` does, with the
-    CLI's messages.
+    first read), else None. Raises InvalidQuery (a ValueError) where
+    ``check_query`` does, with the CLI's messages.
     """
     check_query(metric, objective, d, D, budgets is not None)
     module, entry = _SOLVERS[metric, objective]
     m = _module(module)
     if metric != "hamming":
         return entry(m, inst, d, D)
-    dirty, cut = _on_dirty_columns(inst)
-    b = BudgetedInstance(cut, budgets or (0,) * inst.k)
+    b = BudgetedInstance(inst, budgets or (0,) * inst.k)
     answer = entry(m, b, d, D)
     if answer.feasible:
-        witness = list(inst.words[0])
-        for p, c in zip(dirty, answer.solution):
-            witness[p] = c
         dists = tuple(x + v for x, v in zip(b.budgets, answer.per_string_distances))
-        answer = ConsensusAnswer.found("".join(witness), dists, answer.stats)
+        answer = ConsensusAnswer.found(answer.solution, dists, answer.stats)
     return (decide_sum(answer, D) if objective == "sum" else answer), None
-
-
-def _on_dirty_columns(inst: Instance) -> tuple[list[int], Instance]:
-    """The columns where the words disagree, and the instance cut down to them.
-
-    A Hamming question is answered on the dirty columns alone, and each clean
-    column's symbol is put back into the witness. That gives the same answer
-    on every word: a clean column adds 0 to the distance of every word from
-    a witness holding its symbol, so the solvers' recomputed distances and
-    certificates on the cut words hold on the full ones. The radius tree
-    starts at word 1 and copies symbols only where a word differs from the
-    candidate, so it never rewrites a clean column; the radius-sum search
-    has one branch at a clean column, and the column majority of a clean
-    column is its symbol. With every column clean, one is kept: an
-    instance's words are not empty. ``inst`` itself comes back when every
-    column is dirty.
-    """
-    cols = columns(inst.words)
-    k = inst.k
-    dirty = [p for p, col in enumerate(cols) if col.count(col[0]) != k] or [0]
-    if len(dirty) == len(cols):
-        return dirty, inst
-    return dirty, Instance(tuple(map("".join, zip(*[cols[p] for p in dirty]))))

@@ -435,6 +435,28 @@ class TestMisc:
                     exported.update(ast.literal_eval(node.value))
             assert bound <= read | exported, (path.name, sorted(bound - read - exported))
 
+    def test_every_private_helper_is_read_in_the_package(self):
+        # A private top-level function or class that no module of the
+        # package reads, by name or as a module attribute, is dead code or
+        # kept alive by its tests alone. Dunders (a module's __getattr__ and
+        # __dir__) are read by Python itself.
+        defined, read = {}, set()
+        for path in Path(swapsensus.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                    node.name[0] == "_" and not node.name.startswith("__")
+                ):
+                    defined[node.name] = path.name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        assert defined
+        unread = {name: module for name, module in defined.items() if name not in read}
+        assert not unread, unread
+
     def test_names_the_benchmark_uses_exist(self):
         # Read from the benchmark's source, not imported: its package names,
         # and the module attributes its traced run patches with CallMeter.

@@ -11,9 +11,9 @@ import pytest
 from conftest import random_instance
 from swapsensus import (
     BudgetedInstance,
+    CertificationFailure,
     Instance,
     InvalidQuery,
-    MixedRadiusQuery,
     MixedRadiusSumQuery,
     OracleQuery,
     Radius,
@@ -22,17 +22,16 @@ from swapsensus import (
     brute_force,
     gen_planted,
     hamming_distance,
-    radius_consensus_ham_mixed,
     radius_consensus_swap,
     rs_consensus_ham_mixed,
     rs_consensus_swap,
     sh_cost,
     solve,
-    sum_consensus_ham,
     sum_consensus_sh,
     sum_consensus_swap,
     swap_distance,
 )
+from swapsensus import hamming
 
 ENTRIES = [
     ("hamming", "radius"),
@@ -188,10 +187,11 @@ def test_budgets_and_sum_decision():
 
 
 def test_hamming_answers_are_the_solvers_on_the_full_words():
-    # solve answers a Hamming question on the dirty columns only and puts
-    # the clean columns back. The answers are the solvers' own on the full
-    # words, reasons and radius node counts included; the radius-sum search
-    # loses the one-branch levels of the clean columns.
+    # solve hands every Hamming question to its solver on the full words,
+    # clean columns included, and adds the budgets to the distances; the
+    # answers agree with brute_force under the same budgets. Sum and
+    # radius-sum both return the lex-min optimum, so their witnesses agree
+    # too; the radius tree returns the first witness it finds.
     rng = random.Random(811)
     clean_seen = all_clean = 0
     for _ in range(400):
@@ -204,44 +204,67 @@ def test_hamming_answers_are_the_solvers_on_the_full_words():
         inst = Instance(words)
         budgets = tuple(rng.randint(0, 1) for _ in range(k))
         d, D = rng.randint(0, 3), rng.randint(0, 3 * k)
-        budgeted = BudgetedInstance(inst, budgets)
-        full = {
-            "radius": radius_consensus_ham_mixed(MixedRadiusQuery(budgeted, d)),
-            "radius-sum": rs_consensus_ham_mixed(MixedRadiusSumQuery(budgeted, d, D)),
-            "sum": sum_consensus_ham(inst),
-        }
-        bounds = {"radius": (d, None), "radius-sum": (d, D), "sum": (None, None)}
-        for objective, direct in full.items():
-            ans, _ = solve("hamming", objective, inst, *bounds[objective], budgets)
-            assert (ans.feasible, ans.solution, ans.reason) == (
-                direct.feasible, direct.solution, direct.reason), (words, objective)
+        where = (words, budgets, d, D)
+        # Within radius d every total is at most k * d, so this one query
+        # finds the radius verdict and the radius-sum optimum for every D.
+        near = brute_force(OracleQuery(inst, "hamming", RadiusSum(d, k * d), budgets))
+        best = brute_force(OracleQuery(inst, "hamming", Sum(), budgets))
+        radius, _ = solve("hamming", "radius", inst, d, None, budgets)
+        rs, _ = solve("hamming", "radius-sum", inst, d, D, budgets)
+        total, _ = solve("hamming", "sum", inst, None, None, budgets)
+        assert radius.feasible == near.feasible, where
+        assert rs.feasible == (near.feasible and near.sum_distance <= D), where
+        assert total.feasible == best.feasible, where
+        for ans, ref in ((rs, near), (total, best)):
             if ans.feasible:
-                expect = tuple(
-                    x + v for x, v in zip(budgets, direct.per_string_distances))
-                assert ans.per_string_distances == expect
-            if objective == "radius":
-                assert ans.stats.nodes_expanded == direct.stats.nodes_expanded
-            else:
-                assert ans.stats.nodes_expanded <= direct.stats.nodes_expanded
+                assert (ans.solution, ans.per_string_distances) == (
+                    ref.solution, ref.per_string_distances), where
         clean = sum(len(set(col)) == 1 for col in zip(*words))
         clean_seen += 0 < clean < n
         all_clean += clean == n
     assert clean_seen > 100 and all_clean > 20
 
 
+def test_a_rogue_symbol_in_a_clean_column_is_caught(monkeypatch):
+    # The certificate runs on the words solve was given, so a search that
+    # rewrites a column where every word agrees cannot slip past it.
+    real_search = hamming._radius_search
+
+    def rogue(words, *args):
+        witness = list(real_search(words, *args))
+        for p, col in enumerate(zip(*words)):
+            if len(set(col)) == 1:
+                witness[p] = "z"
+        return "".join(witness)
+
+    monkeypatch.setattr(hamming, "_radius_search", rogue)
+    with pytest.raises(
+        CertificationFailure, match=r"^word 2: recomputed distance 2 > slack 1$"
+    ):
+        solve("hamming", "radius", Instance(("ac", "bc")), 1)
+
+
 def test_radius_sum_nodes_do_not_grow_with_n():
     # At fixed d and k, the radius-sum search's nodes are a function of the
-    # dirty columns, not of n: clean columns add no search level.
+    # dirty columns, not of n: clean columns add no search level, whether
+    # the search is reached through solve or called directly.
+    def direct(inst):
+        zero = BudgetedInstance(inst, (0,) * inst.k)
+        return rs_consensus_ham_mixed(MixedRadiusSumQuery(zero, 3, 24))
+
+    def by_solve(inst):
+        return solve("hamming", "radius-sum", inst, 3, 24)[0]
+
     ns = (25, 50, 100, 200, 400, 800)
-    medians = []
-    for n in ns:
-        nodes = []
-        for seed in range(6):
-            inst, _ = gen_planted(seed, n, 8, 4, 3)
-            ans, _ = solve("hamming", "radius-sum", inst, 3, 24)
-            nodes.append(ans.stats.nodes_expanded)
-        medians.append(statistics.median(nodes))
-    fit = statistics.linear_regression(
-        [math.log(n) for n in ns], [math.log(m) for m in medians]
-    )
-    assert fit.slope <= 0.5, (fit.slope, medians)
+    for call in (by_solve, direct):
+        medians = []
+        for n in ns:
+            nodes = []
+            for seed in range(6):
+                inst, _ = gen_planted(seed, n, 8, 4, 3)
+                nodes.append(call(inst).stats.nodes_expanded)
+            medians.append(statistics.median(nodes))
+        fit = statistics.linear_regression(
+            [math.log(n) for n in ns], [math.log(m) for m in medians]
+        )
+        assert fit.slope <= 0.5, (call.__name__, fit.slope, medians)
