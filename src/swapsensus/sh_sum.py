@@ -29,7 +29,8 @@ carriers minus the state's members.
 
 The work follows the columns where the words disagree (the dirty ones), not
 the length. Row L is stepped by the rules when column L-1, L or L+1 is
-dirty, and the columns those rows read are the only ones read into masks.
+dirty. The dirty columns are read into masks up front; a clean column gets
+its one mask, all words, when a stepped row first reads it.
 Across the other rows, a quiet stretch, the table settles in closed form
 once only the swap-free state and the swap set of all words are alive: the
 swap-free state appends the first word's symbols, and the all-words set
@@ -161,36 +162,6 @@ class _Table(Sequence[DPState]):
         return NotImplemented
 
 
-def _fill(
-    ps: list[int],
-    w0: Word,
-    k: int,
-    masks: list[dict[str, int] | None],
-    have: list[dict[str, int]],
-    grams: list[dict[str, int]],
-    ending: list[dict[str, list[tuple[str, int]]]],
-) -> None:
-    """Fill the tables of the clean columns in ``ps``, then the 2-grams ending there.
-
-    A clean column is one symbol, the first word's, carried by every word.
-    The grams at (p-1, p) are filled for each p in ``ps`` whose column p-1
-    has its tables.
-    """
-    for p in ps:
-        if masks[p] is None:
-            b = w0[p]
-            masks[p] = {b: (1 << k) - 1}
-            have[p] = {b: k}
-    for p in ps:
-        if p and (lefts := masks[p - 1]) is not None:
-            g, e = grams[p], ending[p] = {}, {}
-            for a, left in lefts.items():
-                for b, right in masks[p].items():
-                    if a != b and (carriers := left & right):
-                        g[a + b] = carriers
-                        e.setdefault(b, []).append((a, carriers))
-
-
 def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     words = inst.words
     k, n = inst.k, inst.n
@@ -204,15 +175,15 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     # ending[p] indexes them by their last symbol: ending[p][b] lists
     # (a, carriers); grams[0] and grams[n] are empty. A column is dirty when
     # its words disagree. The dirty columns are read here; the clean ones get
-    # their tables only where a stepped row reads them (_fill). Entries not
-    # yet filled share one empty dict, which nothing writes to.
+    # their tables, and the grams their entries, when a stepped row first
+    # reads them (fill).
     symbols = set().union(*words)
     marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
     masks: list[dict[str, int] | None] = [None] * n
-    have: list[dict[str, int]] = [{}] * n
+    have: list[dict[str, int] | None] = [None] * n
     plurality = list(w0)
-    grams: list[dict[str, int]] = [{}] * (n + 1)
-    ending: list[dict[str, list[tuple[str, int]]]] = [{}] * (n + 1)
+    grams: list[dict[str, int] | None] = [None] * n + [{}]
+    ending: list[dict[str, list[tuple[str, int]]] | None] = [None] * n + [{}]
     dirty: list[int] = []
     for p, col in enumerate(columns(reversed(words))):
         if col.count(col[0]) == k:
@@ -229,21 +200,27 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
             if got > top or got == top and c < plurality[p]:
                 top, plurality[p] = got, c
             rest = left
-    # Row L is stepped when column L-1, L or L+1 is dirty; it reads columns
-    # L-1 to L+1, so the stepped rows read the columns near a dirty one. The
-    # other rows are quiet: until[L] is the next stepped row (or n).
+    # Row L is stepped when column L-1, L or L+1 is dirty. The other rows are
+    # quiet: until[L] is the next stepped row (or n).
     until = [0] * n
-    near: list[int] = []
-    start = 0
     for lo, hi in zip([-3, *dirty], [*dirty, n + 2]):
         if hi - lo > 3:  # rows lo+2 .. hi-2 are quiet
             a, b = max(lo + 2, 0), min(hi - 1, n)
             until[a:b] = [b] * (b - a)
-            if hi - lo > 5:  # and no stepped row reads columns lo+3 .. hi-3
-                near.extend(range(start, lo + 3))
-                start = hi - 2
-    near.extend(range(start, n))
-    _fill(near, w0, k, masks, have, grams, ending)
+
+    def fill(p: int) -> None:
+        # Give column p its tables if it is clean: one symbol, the first
+        # word's, carried by every word. Then build the 2-grams at (p-1, p),
+        # where a column p-1 without tables is clean too.
+        if masks[p] is None:
+            masks[p], have[p] = {w0[p]: everyone}, {w0[p]: k}
+        g, e = grams[p], ending[p] = {}, {}
+        lefts = (masks[p - 1] or {w0[p - 1]: everyone}) if p else {}
+        for a, left in lefts.items():
+            for b, right in masks[p].items():
+                if a != b and (carriers := left & right):
+                    g[a + b] = carriers
+                    e.setdefault(b, []).append((a, carriers))
 
     def source(p: int, b: str, order: list) -> tuple[int, Word] | None:
         # The first (cost, prefix) in order that b extends at p creating no
@@ -272,7 +249,9 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
             # all-words swap set E, in row L or L+1, costs k more than its
             # source, which could have taken that symbol instead: E is worse.
             # So when E is the only other state (the steady form), every rule
-            # up to row b takes (c, P) as its source; see _quiet_row.
+            # up to row b takes (c, P) as its source; see _quiet_row. Where
+            # other swap sets from the dirty rows live on (as along a periodic
+            # stretch), the row is stepped by the rules.
             if len(row) == 1 + (everyone in row):
                 c, P = row[0]
                 stretch = (L, b, c, P)
@@ -285,11 +264,12 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
                     stretches.append(stretch)
                 L = b
                 continue
-            # Not steady (swap sets from the dirty rows live on, as along a
-            # periodic stretch): step the row by the rules. Row L-1 was
-            # stepped, so only column L+1 may lack its tables.
-            if L + 1 < n:
-                _fill([L + 1], w0, k, masks, have, grams, ending)
+        # Row L reads columns L-1 to L+1. Row L-1, when it was stepped, built
+        # the grams at (L-1, L).
+        if grams[L] is None:
+            fill(L)
+        if L + 1 < n:
+            fill(L + 1)
         # All prefixes of row L have length L, so appending one suffix keeps
         # their (cost, prefix) order.
         order = sorted(row.items(), key=itemgetter(1))

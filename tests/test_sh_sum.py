@@ -231,23 +231,42 @@ class TestTableOnFirstRead:
         assert as_tuples(table) == EXPECTED_TABLE
 
 
+def count_stepped_rows(monkeypatch) -> list[tuple]:
+    """Log every ``sorted`` call in ``sh_sum``: each stepped row sorts its states once.
+
+    Reading the table sorts each of its rows too, so count before reading it.
+    """
+    log: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(sh_sum, "sorted", counted, raising=False)
+    return log
+
+
 # sha1 of repr([(row, swap_members, prefix, cost) for each state]) and the
 # state count of gen_planted(0, 200, k, 4, 4), recorded from the solver
 # that settled every state from every source; a changed tie-break changes them.
+# Last, the rows the DP steps by the rules, of 200: stepping fewer rows
+# changes only this number.
 LIBRARY_SIZE_TABLES = {
-    3: ("71966b1cabcefef5bf03c58e8433b416cf353f93", 362),
-    20: ("6bb631a4d0554a5d8b2833633ade8b0724d1122d", 427),
-    60: ("e323f4d79e76425851073480ece46ea68ddf0dec", 568),
+    3: ("71966b1cabcefef5bf03c58e8433b416cf353f93", 362, 24),
+    20: ("6bb631a4d0554a5d8b2833633ade8b0724d1122d", 427, 111),
+    60: ("e323f4d79e76425851073480ece46ea68ddf0dec", 568, 184),
 }
 
 
 @pytest.mark.parametrize("k", sorted(LIBRARY_SIZE_TABLES))
-def test_full_tables_at_library_sizes(k):
+def test_full_tables_at_library_sizes(k, monkeypatch):
+    sorts = count_stepped_rows(monkeypatch)
     inst, _ = gen_planted(0, 200, k, 4, 4)
     ans, table = sum_consensus_sh(inst)
+    stepped = len(sorts)
     cells = repr([(s.row, s.swap_members, s.prefix, s.cost) for s in table])
     digest = hashlib.sha1(cells.encode()).hexdigest()
-    assert (digest, ans.stats.dp_states) == LIBRARY_SIZE_TABLES[k]
+    assert (digest, ans.stats.dp_states, stepped) == LIBRARY_SIZE_TABLES[k]
 
 
 def edited_words(rng: random.Random, centre: str, k: int, edits: int, symbols: str):
@@ -331,23 +350,13 @@ def test_tables_match_the_every_row_reference():
 def test_only_rows_next_to_a_dirty_column_are_stepped(monkeypatch):
     # gen_planted(0, 200, 3, 4, 4) disagrees in 8 columns (0, 5, 6, 25, 26,
     # 35, 145, 146), so 17 rows are next to one, and 5 quiet stretches lie
-    # between them. Each stepped row sorts its states once; a quiet row is
-    # stepped too when it fails the entry check, and then fills the tables
-    # of its next column.
-    sorts = 0
-
-    def counted(*args, **kwargs):
-        nonlocal sorts
-        sorts += 1
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(sh_sum, "sorted", counted, raising=False)
-    fills = count_calls(monkeypatch, sh_sum, "_fill")
+    # between them. A quiet row is stepped too when it fails the entry
+    # check; 7 do here.
+    sorts = count_stepped_rows(monkeypatch)
     inst, _ = gen_planted(0, 200, 3, 4, 4)
     assert len(quiet_runs(inst.words)) == 5
     ans, table = sum_consensus_sh(inst)
-    fallbacks = len(fills) - 1  # the first fills the columns near dirty ones
-    assert 17 <= sorts <= 17 + fallbacks < 200
+    assert len(sorts) == 17 + 7
     assert ans.stats.dp_states == len(table) == 362
 
 
