@@ -21,11 +21,11 @@ are maintained incrementally from per-column symbol counts, counting every
 new mismatch and crediting one unit back per confirmed swap; the final
 answer is recomputed from scratch and cross-checked before it is returned.
 
-Sets of words are bit masks (bit j stands for word j). Each column is read
-into one mask per symbol, and those masks price every extension: a symbol's
-count is its mask's popcount, a 2-gram's carriers are the AND of two
-neighbouring columns' masks, and the words a new swap adds are those
-carriers minus the state's members.
+Sets of words are bit masks (bit j stands for word j). A column's one table
+is a mask per symbol, and a symbol's count is its mask's popcount. The
+carriers of a 2-gram, the AND of two neighbouring columns' masks, are indexed
+once, by the gram's last symbol; the words a new swap adds are those carriers
+minus the state's members.
 
 The work follows the columns where the words disagree (the dirty ones), not
 the length. Row L is stepped by the rules when column L-1, L or L+1 is
@@ -169,37 +169,27 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     everyone = (1 << k) - 1
     # masks[p] maps each symbol of column p to the words carrying it there:
     # the column, read from word k-1 down to word 0, as a binary numeral with
-    # ones where the symbol stands, so bit j is word j (0-based). have[p]
-    # counts them; b costs k - have[p].get(b, 0) at p. grams[p] maps each
-    # unequal 2-gram at columns (p-1, p) to the words carrying it, and
-    # ending[p] indexes them by their last symbol: ending[p][b] lists
-    # (a, carriers); grams[0] and grams[n] are empty. A column is dirty when
-    # its words disagree. The dirty columns are read here; the clean ones get
-    # their tables, and the grams their entries, when a stepped row first
+    # ones where the symbol stands, so bit j is word j (0-based); b costs
+    # k - masks[p][b].bit_count() at p. ending[p][b][a] is the words carrying
+    # the unequal 2-gram a+b at columns (p-1, p); ending[0] and ending[n] are
+    # empty. A column is dirty when its words disagree. The dirty columns are
+    # read here; the clean ones get their tables when a stepped row first
     # reads them (fill).
     symbols = set().union(*words)
     marks = {b: {ord(c): "01"[c == b] for c in symbols} for b in symbols}
     masks: list[dict[str, int] | None] = [None] * n
-    have: list[dict[str, int] | None] = [None] * n
     plurality = list(w0)
-    grams: list[dict[str, int] | None] = [None] * n + [{}]
-    ending: list[dict[str, list[tuple[str, int]]] | None] = [None] * n + [{}]
+    ending: list[dict[str, dict[str, int]] | None] = [None] * n + [{}]
     dirty: list[int] = []
     for p, col in enumerate(columns(reversed(words))):
         if col.count(col[0]) == k:
             continue
         dirty.append(p)
-        ms, h = masks[p], have[p] = {}, {}
-        rest, top = col, 0
-        while rest:  # one symbol at a time, each removed once counted
-            c = rest[0]
-            left = rest.replace(c, "")
-            h[c] = got = len(rest) - len(left)
-            ms[c] = int(col.translate(marks[c]), 2)
-            # The plurality symbol: the smallest of the most frequent.
-            if got > top or got == top and c < plurality[p]:
+        ms = masks[p] = {c: int(col.translate(marks[c]), 2) for c in dict.fromkeys(col)}
+        top = 0  # the plurality symbol: the smallest of the most frequent
+        for c, m in ms.items():
+            if (got := m.bit_count()) > top or got == top and c < plurality[p]:
                 top, plurality[p] = got, c
-            rest = left
     # Row L is stepped when column L-1, L or L+1 is dirty. The other rows are
     # quiet: until[L] is the next stepped row (or n).
     until = [0] * n
@@ -209,25 +199,27 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
             until[a:b] = [b] * (b - a)
 
     def fill(p: int) -> None:
-        # Give column p its tables if it is clean: one symbol, the first
-        # word's, carried by every word. Then build the 2-grams at (p-1, p),
-        # where a column p-1 without tables is clean too.
+        # Give column p its tables if it is clean: one symbol, the first word's,
+        # carried by every word. Then index the 2-grams at (p-1, p); a column p-1
+        # without tables carries none. That is p = 0, or a row p ending a steady
+        # stretch, whose columns p-1, p are clean and whose two states those grams
+        # cannot extend: the all-words set masks out every carrier, and the swap-free
+        # one ends with w0[p-1], the last symbol of no unequal gram there.
         if masks[p] is None:
-            masks[p], have[p] = {w0[p]: everyone}, {w0[p]: k}
-        g, e = grams[p], ending[p] = {}, {}
-        lefts = (masks[p - 1] or {w0[p - 1]: everyone}) if p else {}
-        for a, left in lefts.items():
-            for b, right in masks[p].items():
-                if a != b and (carriers := left & right):
-                    g[a + b] = carriers
-                    e.setdefault(b, []).append((a, carriers))
+            masks[p] = {w0[p]: everyone}
+        e = ending[p] = {}
+        if p and (lefts := masks[p - 1]):
+            for a, left in lefts.items():
+                for b, right in masks[p].items():
+                    if a != b and (carriers := left & right):
+                        e.setdefault(b, {})[a] = carriers
 
     def source(p: int, b: str, order: list) -> tuple[int, Word] | None:
         # The first (cost, prefix) in order that b extends at p creating no
         # new swap: no word outside the members (which already spent p-1 on
         # their previous swap) carries the gram b + last at (p-1, p).
         for members, held in order:
-            if not grams[p].get(b + held[1][-1:], 0) & ~members:
+            if not ending[p].get(held[1][-1:], {}).get(b, 0) & ~members:
                 return held
         return None
 
@@ -264,37 +256,37 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
                     stretches.append(stretch)
                 L = b
                 continue
-        # Row L reads columns L-1 to L+1. Row L-1, when it was stepped, built
-        # the grams at (L-1, L).
-        if grams[L] is None:
+        # Row L reads columns L-1 to L+1; a stepped row L-1 built ending[L].
+        if ending[L] is None:
             fill(L)
         if L + 1 < n:
             fill(L + 1)
         # All prefixes of row L have length L, so appending one suffix keeps
         # their (cost, prefix) order.
         order = sorted(row.items(), key=itemgetter(1))
-        here, ends = have[L], ending[L]
+        here, ends = masks[L], ending[L]
         for members, (cost, prefix) in order:
             # One symbol creating at least one new swap: the reversed gram
             # must end with last, so the symbol occurs in column L-1.
-            for a, carriers in ends.get(prefix[-1:], ()):
-                if swappers := carriers & ~members:
-                    new_cost = cost + k - here.get(a, 0) - swappers.bit_count()
-                    _settle(nxt, swappers, new_cost, prefix + a)
+            if grams := ends.get(prefix[-1:]):
+                for a, carriers in grams.items():
+                    if swappers := carriers & ~members:
+                        new_cost = cost + k - here.get(a, 0).bit_count() - swappers.bit_count()
+                        _settle(nxt, swappers, new_cost, prefix + a)
         # The other two rules add a cost and a suffix that do not depend on
         # the state, so each takes one source: the first state in order to
         # which the rule's first symbol b adds no swap. The plurality symbol,
         # allowed only when it creates no swap:
         b = plurality[L]
         if (held := source(L, b, order)) is not None:
-            _settle(nxt, 0, held[0] + k - here[b], held[1] + b)
+            _settle(nxt, 0, held[0] + k - here[b].bit_count(), held[1] + b)
         # Two symbols b, a forming a reversed occurring 2-gram a+b, provided b
         # alone creates no swap; the gram's carriers swap.
         for b, pairs in ending[L + 1].items():
             if (held := source(L, b, order)) is not None:
-                base = held[0] + 2 * k - here.get(b, 0)
-                for a, swappers in pairs:
-                    new_cost = base - have[L + 1].get(a, 0) - swappers.bit_count()
+                base = held[0] + 2 * k - here.get(b, 0).bit_count()
+                for a, swappers in pairs.items():
+                    new_cost = base - masks[L + 1].get(a, 0).bit_count() - swappers.bit_count()
                     _settle(rows[L + 2], swappers, new_cost, held[1] + b + a)
         # Row L+1 is complete: rows L-1 and L were its only writers.
         if (swapping := len(nxt) - (0 in nxt)) > (k if L else 0):

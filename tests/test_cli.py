@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from conftest import child_env, run_cli
+from swapsensus import gen_planted
 
 TANGLED_LONG = (
     "abgabcahidabdefeda",
@@ -123,6 +125,26 @@ class TestConsensusCommand:
         ]
         assert trace["consensus_bits"] == "10000001000000000"
         assert trace["decoded"] == "bagacbaihdabedfeda"
+
+    @pytest.mark.parametrize(
+        "words,bound",
+        [
+            (("ab", "cd"), "1"),  # disentangle: the symbol multisets differ
+            (("abab", "baba"), "0"),  # the bit stage: no bit row within radius 0
+        ],
+    )
+    def test_trace_of_an_early_exit_is_left_out(self, tmp_path, words, bound):
+        path = write_lines(tmp_path, "inst.txt", words)
+        args = ["consensus", "--distance", "swap", "--objective", "radius", "-d", bound,
+                "--trace", path]
+        result, payload = invoke_json(args)
+        assert result.exit_code == 1
+        assert payload["status"] == "infeasible"
+        assert "trace" not in payload
+        result = run_cli(args)
+        assert result.exit_code == 1
+        assert result.stdout.startswith("status: infeasible\n")
+        assert "trace:" not in result.stdout
 
     def test_swap_sum_infeasible(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ababc", "abbca", "abacb"))
@@ -606,6 +628,39 @@ class TestOracleCommand:
         )
         assert result.exit_code == 1
         assert payload["reason"] == "no word within swap radius 3"
+
+
+# Each child reads the same instance; set and dict order must not leak into
+# its output, whatever the interpreter's string hash seed.
+HASH_ORDER_CHILDREN = [
+    ["--distance", "swap-hamming", "--objective", "sum", "--dump-table"],
+    ["--distance", "swap", "--objective", "radius", "-d", "3", "--trace"],
+    ["--distance", "hamming", "--objective", "radius-sum", "-d", "4", "-D", "12"],
+]
+
+
+@pytest.mark.parametrize("args", HASH_ORDER_CHILDREN, ids=["sh-sum", "swap-radius", "ham-rs"])
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, args):
+    # All three answers are feasible. Two columns tie for the plurality, and
+    # the swap pipeline meets two tangled intervals.
+    inst, _ = gen_planted(1218, 24, 4, 3, 3)
+    path = write_lines(tmp_path, "inst.txt", inst.words)
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapsensus.cli", "consensus", *args, "--output", "json",
+             path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(child_env(), PYTHONHASHSEED=seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(re.sub(r'"elapsed": [^,\n]+', '"elapsed": 0', proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert '"status": "feasible"' in outputs[0]
+    assert ('"table": [' in outputs[0]) == ("--dump-table" in args)
+    assert ('"trace": {' in outputs[0]) == ("--trace" in args)
 
 
 class TestGenCommand:
