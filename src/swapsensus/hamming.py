@@ -73,18 +73,18 @@ def _budgets_over(budgets: tuple[int, ...], d: int, D: int | None = None) -> str
 def _radius_search(
     words: Sequence[Word],
     root_dists: list[int],
-    step: Callable[[Word, list[int], int], Iterable[tuple[int, Word]] | None],
+    step: Callable[[Word, list[int], int], Iterable[tuple[int, str]] | None],
     stats: SearchStats,
 ) -> Word | None:
     """Depth-first bounded search tree from ``words[0]``, O(k) work per node.
 
     ``step(cand, dists, depth)`` gets a node's candidate, its Hamming
     distances to ``words`` and its depth, and returns None for a witness,
-    ``()`` for a pruned node, or (first rewritten position, child) pairs; a
-    child differs from ``cand`` only at that position and the next. A node
-    is a (candidate, distances) pair: the caller computes ``root_dists``, and
-    every child's distances are derived from its parent's. Returns the
-    candidate of the first witness in preorder, or None.
+    ``()`` for a pruned node, or (p, window) moves: the child writes the one
+    or two symbols of ``window`` over ``cand`` from position p on. A node is
+    a (candidate, distances) pair: the caller computes ``root_dists``; a
+    child's are its parent's, updated on the columns its window rewrote.
+    Returns the candidate of the first witness in preorder, or None.
 
     Subtrees already searched in vain are not searched again, which is sound
     when ``step`` depends on (cand, depth) alone and only tightens with
@@ -97,14 +97,14 @@ def _radius_search(
     exhausted: dict[Word, int] = {}
 
     def children(cand: Word, dists: list[int], depth: int, moves) -> Iterator[tuple]:
-        for p, child in moves:
+        for p, window in moves:
+            child = cand[:p] + window + cand[p + len(window) :]
             if exhausted.get(child, depth + 2) <= depth + 1:
                 continue
             child_dists = dists
             # Each rewritten column moves a word's distance by at most one.
-            for q in range(p, min(p + 2, len(cand))):
-                old, new = cand[q], child[q]
-                if old != new:
+            for q, new in enumerate(window, p):
+                if (old := cand[q]) != new:
                     child_dists = [
                         dist + (w[q] == old) - (w[q] == new)
                         for dist, w in zip(child_dists, words)
@@ -164,7 +164,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
     slacks = [q.d - x for x in q.budgeted.budgets]
     stats = SearchStats()
 
-    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
+    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, str]] | None:
         remaining = q.d - depth
         violated = -1
         for i, (dist, slack) in enumerate(zip(dists, slacks)):
@@ -178,10 +178,7 @@ def radius_consensus_ham_mixed(q: MixedRadiusQuery) -> ConsensusAnswer:
         # Copy the word's symbol at each of its first slack + 1 mismatches.
         w = words[violated]
         mism = compress(range(inst.n), map(ne, cand, w))
-        return (
-            (p, cand[:p] + w[p] + cand[p + 1 :])
-            for p in islice(mism, slacks[violated] + 1)
-        )
+        return ((p, w[p]) for p in islice(mism, slacks[violated] + 1))
 
     root_dists = [hamming_distance(words[0], w) for w in words]
     witness = _radius_search(words, root_dists, step, stats)

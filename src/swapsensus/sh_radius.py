@@ -39,15 +39,15 @@ from .swaps import hamming_distance, sh_cost
 __all__ = ["radius_consensus_sh"]
 
 
-def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
-    """Children of ``cand`` that copy symbols from the violating word ``w``.
+def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, str]]:
+    """Moves of ``cand`` that copy symbols from the violating word ``w``.
 
-    Each child rewrites one window of the candidate: one symbol taken from
-    ``w``, or two adjacent symbols of ``w`` in exchanged order; it comes
-    with the first position of that window. A swap that would leave the
-    candidate unchanged is not a child. Yielded lazily: the depth-first walk
-    usually succeeds or fails on the first few children, and there can be
-    3 * hamming(cand, w) of them.
+    Each move is a (p, window) pair for ``_radius_search``: the window is
+    ``w[p]``, one symbol taken from ``w``, or ``w[p + 1] + w[p]``, two
+    adjacent symbols of ``w`` in exchanged order, written at position p.
+    A swap that would leave the candidate unchanged is not a move. Yielded
+    lazily: the depth-first walk usually succeeds or fails on the first few
+    moves, and there can be 3 * hamming(cand, w) of them.
     """
     n = len(cand)
     mism = list(compress(range(n), map(ne, cand, w)))
@@ -55,17 +55,15 @@ def _moves(cand: Word, w: Word, d: int) -> Iterator[tuple[int, Word]]:
     if ham >= 2 * d + 1:
         # Any witness agrees with w on all but at most 2d of these, so some
         # of the first 2d+1 disagreements must be resolved by copying.
-        for p in mism[: 2 * d + 1]:
-            yield p, cand[:p] + w[p] + cand[p + 1 :]
+        yield from ((p, w[p]) for p in mism[: 2 * d + 1])
         return
     assert d + 1 <= ham <= 2 * d
+    yield from ((p, w[p]) for p in mism)
     for p in mism:
-        yield p, cand[:p] + w[p] + cand[p + 1 :]
-    for p in mism:
-        if p + 1 < n and (cand[p], cand[p + 1]) != (w[p + 1], w[p]):
-            yield p, cand[:p] + w[p + 1] + w[p] + cand[p + 2 :]
-        if p - 1 >= 0 and (cand[p - 1], cand[p]) != (w[p], w[p - 1]):
-            yield p - 1, cand[: p - 1] + w[p] + w[p - 1] + cand[p + 1 :]
+        # The window starting at p, then the one ending at p.
+        for q in (p, p - 1):
+            if 0 <= q < n - 1 and cand[q : q + 2] != (window := w[q + 1] + w[q]):
+                yield q, window
 
 
 @timed
@@ -98,7 +96,7 @@ def radius_consensus_sh(inst: Instance, d: int) -> ConsensusAnswer:
     words = inst.words
     stats = SearchStats()
 
-    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, Word]] | None:
+    def step(cand: Word, dists: list[int], depth: int) -> Iterable[tuple[int, str]] | None:
         if max(dists) >= 4 * d - depth + 1:
             return ()
         # sh <= hamming, so only words beyond 3d - depth need sh_cost. Each

@@ -202,9 +202,10 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
         # Give column p its tables if it is clean: one symbol, the first word's,
         # carried by every word. Then index the 2-grams at (p-1, p); a column p-1
         # without tables carries none. That is p = 0, or a row p ending a steady
-        # stretch, whose columns p-1, p are clean and whose two states those grams
-        # cannot extend: the all-words set masks out every carrier, and the swap-free
-        # one ends with w0[p-1], the last symbol of no unequal gram there.
+        # stretch (the steady branch drops the tables of a stretch's first column,
+        # which no row steps): columns p-1, p are clean, and the row's two states
+        # cannot use those grams: the all-words set masks out every carrier, and
+        # the swap-free one ends with w0[p-1], the last symbol of no unequal gram there.
         if masks[p] is None:
             masks[p] = {w0[p]: everyone}
         e = ending[p] = {}
@@ -246,6 +247,7 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
             # stretch), the row is stepped by the rules.
             if len(row) == 1 + (everyone in row):
                 c, P = row[0]
+                masks[L] = None  # read by no row: see fill
                 stretch = (L, b, c, P)
                 nxt[0] = (c, P + w0[L])
                 if b > L + 1:

@@ -58,6 +58,19 @@ def random_instance(rng: random.Random, **kwargs) -> Instance:
     return Instance(random_words(rng, **kwargs))
 
 
+def check_move(cand: str, w: str, move) -> None:
+    """Assert that a radius-tree move is a window of ``w`` that changes ``cand``.
+
+    A move is (p, window): ``w[p]``, or ``w[p + 1] + w[p]``, written over
+    ``cand`` from position p on.
+    """
+    assert isinstance(move, tuple) and len(move) == 2, move
+    p, window = move
+    assert 1 <= len(window) <= 2 and 0 <= p and p + len(window) <= len(cand), move
+    assert window in (w[p], w[p + 1 : p + 2] + w[p]), (cand, w, move)
+    assert cand[:p] + window + cand[p + len(window) :] != cand, (cand, w, move)
+
+
 def count_calls(monkeypatch, module, name: str) -> list[tuple]:
     """Log every call of ``module.name`` (looked up at call time); returns the log."""
     log: list[tuple] = []

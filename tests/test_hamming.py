@@ -8,10 +8,12 @@ import pytest
 
 import reference as ref
 from conftest import (
+    check_move,
     count_calls,
     plain_graph_walk,
     radius_graph_search,
     random_instance,
+    random_words,
 )
 from swapsensus import (
     hamming,
@@ -24,6 +26,7 @@ from swapsensus import (
     ReservedSymbolPresent,
     hamming_distance,
     radius_consensus_ham_mixed,
+    radius_consensus_sh,
     rs_consensus_ham_mixed,
     sum_consensus_ham,
 )
@@ -366,6 +369,69 @@ class TestRadiusSearch:
         ]
         _, plain = plain_graph_walk()
         assert plain == calls[:6] + [("n", 3), ("n", 1), ("n", 2), ("n", 3)]
+
+    def test_each_move_is_a_window_of_the_first_violated_word(self, monkeypatch):
+        real_search = hamming._radius_search
+        drawn = []
+
+        def spy(words, root_dists, step, stats):
+            def logged(cand, dists, depth):
+                moves = step(cand, dists, depth)
+                if not moves:  # a witness or a pruned node
+                    return moves
+                w = next(w for w, dist, sl in zip(words, dists, slacks) if dist > sl)
+
+                def checked():
+                    for move in moves:
+                        check_move(cand, w, move)
+                        drawn.append(move)
+                        yield move
+
+                return checked()
+
+            return real_search(words, root_dists, logged, stats)
+
+        monkeypatch.setattr(hamming, "_radius_search", spy)
+        rng = random.Random(311)
+        for _ in range(400):
+            inst = random_instance(rng, min_n=3, max_n=9, min_k=3, max_k=6, min_sigma=2)
+            d = rng.randint(1, 3)
+            budgets = tuple(rng.randint(0, d) for _ in range(inst.k))
+            slacks = [d - x for x in budgets]
+            radius_consensus_ham_mixed(MixedRadiusQuery(BudgetedInstance(inst, budgets), d))
+        assert len(drawn) > 400
+
+    def test_every_node_holds_its_own_distances(self, monkeypatch):
+        # Both trees derive a child's distances from its parent's on the
+        # columns its move rewrote; each expanded node is checked against a
+        # count from scratch, on repeated words and one- and two-column words.
+        real_walk = hamming.depth_first
+        expanded = [0, 0]
+
+        def spy(root, expand):
+            def checked(node, depth):
+                cand, dists = node
+                assert dists == [hamming_distance(cand, w) for w in words], (words, cand)
+                expanded[depth > 0] += 1
+                return expand(node, depth)
+
+            return real_walk(root, checked)
+
+        monkeypatch.setattr(hamming, "depth_first", spy)
+        rng = random.Random(313)
+        for i in range(600):
+            n = rng.choice((1, 2, rng.randint(3, 8)))
+            words = random_words(rng, min_n=n, max_n=n, max_k=5, max_sigma=3)
+            if rng.random() < 0.4:
+                words += (rng.choice(words),)
+            inst = Instance(words)
+            d = rng.randint(0, 3)
+            if i % 2:
+                radius_consensus_sh(inst, d)
+            else:
+                budgets = tuple(rng.randint(0, d) for _ in range(inst.k))
+                radius_consensus_ham_mixed(MixedRadiusQuery(BudgetedInstance(inst, budgets), d))
+        assert expanded[0] == 600 and expanded[1] > 3000
 
 
 class TestCertification:

@@ -8,12 +8,13 @@ import sys
 import pytest
 
 import reference as ref
-from conftest import count_calls, random_words
+from conftest import check_move, count_calls, random_words
 from swapsensus import (
     CertificationFailure,
     Instance,
     dollar_pad,
     gen_planted,
+    hamming_distance,
     radius_consensus_sh,
     sh_cost,
     sh_radius,
@@ -108,6 +109,24 @@ class TestKnownInstances:
         monkeypatch.setattr(sh_radius, "_radius_search", lambda *args: "ba")
         with pytest.raises(CertificationFailure, match=r"^word 1: recomputed distance 1 > slack 0$"):
             radius_consensus_sh(Instance(("ab", "ab")), 0)
+
+
+class TestMoves:
+    def test_each_move_is_a_window_that_changes_the_candidate(self):
+        # _radius_search spells each child and re-prices only the columns
+        # its window covers, so a move must name exactly what it rewrites.
+        rng = random.Random(707)
+        drawn = swaps = 0
+        for _ in range(2000):
+            cand, w = random_words(rng, max_n=8, min_k=2, max_k=2, max_sigma=4)
+            d = rng.randint(0, 3)
+            if hamming_distance(cand, w) <= d:
+                continue
+            drawn += 1
+            for move in sh_radius._moves(cand, w, d):
+                check_move(cand, w, move)
+                swaps += len(move[1]) == 2
+        assert drawn > 800 and swaps > 800
 
 
 class TestAgainstEnumeration:
