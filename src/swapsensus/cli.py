@@ -7,7 +7,8 @@ runs when it runs, so start-up loads nothing else.
 
 Exit codes separate answers from errors: 0 means solved or feasible, 1 means
 a certified "no" (infeasible is a legitimate answer), 2 means a usage or
-input error (argparse prints its own ``usage:`` text for flags it rejects).
+input error (argparse prints its own ``usage:`` text for flags it rejects)
+or a run that ran out of memory.
 JSON output has a stable schema; every distance in it is recomputed from the
 reported witness, and infinite values are rendered as the string "inf"
 because strict JSON has no infinity literal.
@@ -389,7 +390,10 @@ def main(argv: list[str] | None = None) -> NoReturn:
     """Run the command named in ``argv`` (default ``sys.argv[1:]``); always exits."""
     args = vars(_parser().parse_args(argv))
     del args["command"]
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+    except MemoryError:
+        _fail("out of memory")
 
 
 if __name__ == "__main__":

@@ -16,13 +16,16 @@ the forced symbol there, so the steps read the input's columns too. Each
 word's swaps are recorded, and only the words that took one are rebuilt.
 
 Infeasibility (no common match exists) is detected in two layers: a symbol
-multiset precheck and per-step legality checks inside intervals. A final
-O(kn) pairwise-matching certification is the safety net: the results' swap
-strings against the first result, one per distinct result, have no adjacent
-ones in their union, a bitwise OR of the strings. A net that fails means a
-bug in the scan, not an input without a common match, so it raises
-CertificationFailure. Those certified swap strings are the encoding the swap
-pipeline solves on.
+multiset precheck and per-step legality checks inside intervals. The scan
+records the 0-based start of each benign pair it skips: these are the bit
+columns. A result's swap string against the first result holds a one at
+exactly the starts where their symbols differ, and nowhere else. A final
+O(kn) certification is the safety net: the starts are pairwise non-adjacent,
+and each distinct result is the first one with its differing pairs
+exchanged. That certifies those swap strings, and any two results match. A
+net that fails means a bug in the scan, not an input without a common match,
+so it raises CertificationFailure. The swap strings are the encoding the
+swap pipeline solves on.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from collections import Counter
 from itertools import compress, repeat
 from operator import ne
 
-from .core import CertificationFailure, Instance, NotMatching, _Record, columns
-from .swaps import _apply, swap_string
+from .core import CertificationFailure, Instance, _Record, columns
+from .swaps import SwapStr, _apply
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
@@ -42,10 +45,13 @@ class Disentanglement(_Record):
 
     ``tangled_intervals`` are 1-based inclusive column ranges. ``encoded``
     holds each result's swap string against the first result, as certified
-    by the safety net.
+    by the safety net. ``bit_columns`` are the 0-based starts of the benign
+    pairs, ascending: the only bits where an encoding can hold a one.
     """
 
-    __slots__ = ("strings_prime", "budgets", "total", "tangled_intervals", "encoded")
+    __slots__ = (
+        "strings_prime", "budgets", "total", "tangled_intervals", "encoded", "bit_columns"
+    )
 
 
 class Infeasible(_Record):
@@ -72,6 +78,7 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     cols = columns(inst.words)
     swaps: list[list[int]] = [[] for _ in range(k)]  # each word's 0-based swaps
     intervals: list[tuple[int, int]] = []
+    starts: list[int] = []  # 0-based starts of the benign pairs
 
     # Left of the scan every column agrees, or pairs benignly with its
     # neighbour, and the symbol multisets agree; so the last column agrees
@@ -92,6 +99,7 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
         if len(column) == 2:
             x, y = column
             if cols[i + 1] == cols[i].translate(str.maketrans(x + y, y + x)):
+                starts.append(i)
                 i += 2
                 continue
 
@@ -166,28 +174,29 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
     strings_prime = [_apply(w, at) if at else w for w, at in zip(inst.words, swaps)]
     budgets = tuple(map(len, swaps))
 
-    # Safety net: all results must match the first one, and all pairwise XORs
-    # of their swap strings must be free of "11" (pairwise matching, by the
-    # three-way analysis). Each swap string is valid, so an XOR holds "11" at
-    # (i, i+1) exactly when one string has a 1 at i and the other a 1 at i+1:
-    # exactly when the union of all their ones holds adjacent positions
-    # (test_swaps::test_union_adjacency_is_pairwise_collision). The union is
-    # the bitwise OR of the strings read as binary numbers. Equal words have
-    # equal swap strings, so each distinct word is encoded once.
+    # Safety net. Outside the benign pairs every column of the results
+    # agrees: clean columns agree anyway, and inside a tangled interval every
+    # word holds the forced symbols after its swaps. So a result is the first
+    # one with the benign pairs exchanged where its symbol differs, and its
+    # swap string against the first has its ones at exactly those starts
+    # (the exchanged pairs hold distinct symbols). The starts are pairwise
+    # non-adjacent, so the XOR of any two results' swap strings has no
+    # adjacent ones: it is their swap string, and they match. Equal words
+    # have equal swap strings, so each distinct word is checked once.
     base = strings_prime[0]
-    try:
-        encoding = {w: swap_string(base, w) for w in dict.fromkeys(strings_prime)}
-    except NotMatching as exc:
-        raise CertificationFailure(
-            f"disentangled words do not match the first one: {exc}"
-        ) from exc
-    union = 0
-    for h in encoding.values():
-        union |= int(h.bits or "0", 2)
-    if union & union >> 1:
-        raise CertificationFailure("disentangled words do not pairwise match")
+    if any(q - p < 2 for p, q in zip(starts, starts[1:])):
+        raise CertificationFailure("benign pairs of the scan overlap")
+    encoding = {}
+    for w in dict.fromkeys(strings_prime):
+        at = [p for p in starts if w[p] != base[p]]
+        if _apply(base, at) != w:
+            raise CertificationFailure("disentangled words do not pairwise match")
+        bits = bytearray(b"0") * (n - 1)
+        for p in at:
+            bits[p] = ord("1")
+        encoding[w] = SwapStr(bits.decode(), n)
     hs = tuple(map(encoding.__getitem__, strings_prime))
 
     return Disentanglement(
-        tuple(strings_prime), budgets, sum(budgets), tuple(intervals), hs
+        tuple(strings_prime), budgets, sum(budgets), tuple(intervals), hs, tuple(starts)
     )

@@ -76,15 +76,17 @@ def _radius_search(
     step: Callable[[Word, list[int], int], Iterable[tuple[int, str]] | None],
     stats: SearchStats,
 ) -> Word | None:
-    """Depth-first bounded search tree from ``words[0]``, O(k) work per node.
+    """Depth-first bounded search tree from ``words[0]``.
 
     ``step(cand, dists, depth)`` gets a node's candidate, its Hamming
     distances to ``words`` and its depth, and returns None for a witness,
     ``()`` for a pruned node, or (p, window) moves: the child writes the one
     or two symbols of ``window`` over ``cand`` from position p on. A node is
     a (candidate, distances) pair: the caller computes ``root_dists``; a
-    child's are its parent's, updated on the columns its window rewrote.
-    Returns the candidate of the first witness in preorder, or None.
+    child's are its parent's, updated on the columns its window rewrote, in
+    O(k) per column. Spelling a child and the step's scan for mismatches
+    are O(n). Returns the candidate of the first witness in preorder, or
+    None.
 
     Subtrees already searched in vain are not searched again, which is sound
     when ``step`` depends on (cand, depth) alone and only tightens with

@@ -2,24 +2,24 @@
 
 Every solver runs the same stages in one shared helper. (1) Disentangle the
 instance into pairwise-matching words, consuming per-string budgets of
-necessary swaps; ``disentangle`` certifies the pairwise matching, which makes
-every bit string whose ones lie in the union of the encodings' ones a valid
-swap string. Prechecks on those budgets end hopeless radius and radius-sum
-queries early. (2) Encode each word as its swap string against the first
-disentangled word: these are the strings ``disentangle`` computed and
-certified, so no stage encodes again. Budget additivity makes swap distances
-to any common match equal to the budget plus the Hamming distance between
-encodings. (3) Solve the corresponding budgeted Hamming problem on the
-encodings with the solver in ``solve``'s table, which reports each word's
-budget plus Hamming distance. The pipeline cuts the bit rows to the union
-of the encodings' ones, the dirty bit columns, before it asks ``solve``, and
-puts the clean columns' zeroes back into the bit witness. Each Hamming
-solver only returns symbols that occur in its input column, so the chosen
-ones stay in that union. (4) Decode
-the winning bit string back into a word and certify it with
-``core.certified``, which recomputes every swap distance from scratch and
-checks the radius and sum bounds; each distance must then equal the bit
-stage's. A disagreement raises CertificationFailure, which always means an
+necessary swaps. ``disentangle`` reports its bit columns, pairwise
+non-adjacent, and certifies that every encoding has its ones among them; so
+every bit string whose ones lie there is a valid swap string. Prechecks on
+those budgets end hopeless radius and radius-sum queries early. (2) Encode
+each word as its swap string against the first disentangled word: these are
+the strings ``disentangle`` read off its bit columns and certified, so no
+stage encodes again. Budget additivity makes swap distances to any common
+match equal to the budget plus the Hamming distance between encodings. (3)
+Solve the corresponding budgeted Hamming problem on the encodings with the
+solver in ``solve``'s table, which reports each word's budget plus Hamming
+distance. The pipeline cuts the bit rows to the bit columns before it asks
+``solve``, and puts the other columns' zeroes back into the bit witness.
+When there is no bit column it keeps column 1, which is 0 in every row;
+each Hamming solver only returns symbols that occur in its input column, so
+the witness holds 0 there. (4) Decode the winning bit string back into a
+word and certify it with ``core.certified``, which recomputes every swap
+distance from scratch and checks the radius and sum bounds; each distance
+must then equal the bit stage's. A disagreement raises CertificationFailure, which always means an
 implementation bug.
 """
 
@@ -81,14 +81,10 @@ def _solve(
     if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
         stats, bits, bit_dists = SearchStats(), "", dz.budgets
     else:
-        # Cut the rows to the dirty bit columns, the union of the encodings'
-        # ones (the first encoding is all zeros); one column is kept when
-        # none is dirty. A clean column is 0 in every row and in the bit
-        # witness, so it adds 0 to every distance.
-        union = 0
-        for h in {h.bits for h in encoded}:
-            union |= int(h, 2)
-        at = [p for p, b in enumerate(f"{union:0{inst.n - 1}b}") if b == "1"] or [0]
+        # Cut the rows to the bit columns; one column is kept when there is
+        # none. Every other column is 0 in every row and in the bit witness,
+        # so it adds 0 to every distance.
+        at = dz.bit_columns or (0,)
         pick = itemgetter(*at)
         rows = Instance(tuple("".join(pick(h.bits)) for h in encoded))
         ham, _ = solve("hamming", objective, rows, d, D, dz.budgets)

@@ -38,11 +38,7 @@ __all__ = [
     "swap_string",
     "apply_swaps",
     "swap_distance",
-    "xor_compose",
 ]
-
-# False/True, as bytes 0/1, to the characters "0"/"1".
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def hamming_distance(s: Word, t: Word) -> int:
@@ -184,15 +180,3 @@ def swap_distance(s: Word, t: Word) -> float:
     swaps, subs = _trace(s, t)
     return INF if subs else len(swaps)
 
-
-def xor_compose(h1: str | SwapStr, h2: str | SwapStr) -> str:
-    """Position-wise XOR of two raw bit sequences.
-
-    Deliberately returns a raw string, not a SwapStr: the composition of two
-    valid swap strings may hold "11", and then it is not a valid one.
-    """
-    b1 = h1.bits if isinstance(h1, SwapStr) else h1
-    b2 = h2.bits if isinstance(h2, SwapStr) else h2
-    if len(b1) != len(b2):
-        raise LengthMismatch(f"{len(b1)} vs {len(b2)} bits")
-    return bytes(map(ne, b1, b2)).translate(_BIT_CHARS).decode()

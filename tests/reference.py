@@ -23,8 +23,9 @@ the tests hold both to the same records.
 
 The three-way analysis at the end is the paper's lemma behind
 ``disentangle``'s pairwise-matching certification. No program path calls
-it, so it lives here, built on the package's swap strings, and the tests
-check it against the enumerations.
+it, so it lives here, built on the package's swap strings and on
+``xor_compose``, their position-wise XOR, and the tests check it against
+the enumerations.
 
 ``pad_mixed`` rewrites a budgeted Hamming query as a plain one; the tests
 check that both have the same verdict.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterator
 
 from swapsensus import (
@@ -53,7 +54,6 @@ from swapsensus import (
     SwapStr,
     sh_distance,
     swap_string,
-    xor_compose,
 )
 
 
@@ -254,7 +254,8 @@ def scan_disentangle(inst: Instance) -> Disentanglement | Infeasible:
 
     Copies all k words into lists, and inside a tangled interval finds the
     movers by a loop over all k words at each column, reading the swapped
-    copies; the safety net encodes every result, repeats included.
+    copies; the safety net encodes every result, repeats included, and the
+    bit columns are the union of the encodings' ones.
     """
     k, n = inst.k, inst.n
 
@@ -365,9 +366,10 @@ def scan_disentangle(inst: Instance) -> Disentanglement | Infeasible:
         union |= int(h.bits or "0", 2)
     if union & union >> 1:
         raise CertificationFailure("disentangled words do not pairwise match")
+    bit_columns = tuple(i for i in range(n - 1) if any(h.bits[i] == "1" for h in hs))
 
     return Disentanglement(
-        strings_prime, tuple(budgets), sum(budgets), tuple(intervals), hs
+        strings_prime, tuple(budgets), sum(budgets), tuple(intervals), hs, bit_columns
     )
 
 
@@ -435,6 +437,23 @@ class Blocked:
 
 
 ThreeWayOutcome = Matching | Blocked
+
+
+# False/True, as bytes 0/1, to the characters "0"/"1".
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def xor_compose(h1: str | SwapStr, h2: str | SwapStr) -> str:
+    """Position-wise XOR of two raw bit sequences.
+
+    Deliberately returns a raw string, not a SwapStr: the composition of two
+    valid swap strings may hold "11", and then it is not a valid one.
+    """
+    b1 = h1.bits if isinstance(h1, SwapStr) else h1
+    b2 = h2.bits if isinstance(h2, SwapStr) else h2
+    if len(b1) != len(b2):
+        raise LengthMismatch(f"{len(b1)} vs {len(b2)} bits")
+    return bytes(map(ne, b1, b2)).translate(_BIT_CHARS).decode()
 
 
 def three_way_match(s1: str, s2: str, s3: str) -> ThreeWayOutcome:

@@ -17,7 +17,7 @@ from time import perf_counter
 
 import reference as ref
 from conftest import best_of, random_words
-from reference import Blocked, Matching, pad_mixed, swap_set, three_way_match
+from reference import Blocked, Matching, pad_mixed, swap_set, three_way_match, xor_compose
 from swapsensus import (
     INF,
     BudgetedInstance,
@@ -43,7 +43,6 @@ from swapsensus import (
     sum_consensus_sh,
     swap_distance,
     swap_string,
-    xor_compose,
 )
 
 # Shared seed for the randomized agreement sweeps; test 08 replays the very

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -452,6 +453,19 @@ class TestConsensusCommand:
         )
         assert result.exit_code == 2
         assert "line 2" in result.stderr
+
+    def test_out_of_memory_is_an_error_not_a_no(self, tmp_path, monkeypatch):
+        def solve(*args):
+            raise MemoryError
+
+        # The package attribute solve is the function; patch the module.
+        monkeypatch.setattr(import_module("swapsensus.solve"), "solve", solve)
+        path = write_lines(tmp_path, "words.txt", ("ab", "ba"))
+        result = run_cli(
+            ["consensus", "--distance", "swap-hamming", "--objective", "sum", path]
+        )
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: out of memory\n"
 
 
 class TestLongInputs:

@@ -232,7 +232,7 @@ def _records() -> dict[str, tuple[type, dict]]:
     inst = Instance(("ab", "ba"))
     budgeted = BudgetedInstance(inst, (0, 1))
     enc = (swapsensus.SwapStr("1", 2), swapsensus.SwapStr("0", 2))
-    dz = swapsensus.Disentanglement(("ab", "ab"), (1, 0), 1, ((1, 2),), enc)
+    dz = swapsensus.Disentanglement(("ab", "ab"), (1, 0), 1, ((1, 2),), enc, (0,))
     fields = {
         Instance: {"words": ("a",)},
         BudgetedInstance: {"instance": inst, "budgets": (0, 1)},
@@ -252,6 +252,7 @@ def _records() -> dict[str, tuple[type, dict]]:
             "total": 1,
             "tangled_intervals": ((1, 2),),
             "encoded": enc,
+            "bit_columns": (0,),
         },
         swapsensus.Infeasible: {"reason": "column 2", "column": 2},
         swapsensus.MixedRadiusQuery: {"budgeted": budgeted, "d": 1},

@@ -11,17 +11,16 @@ import pytest
 
 import reference as ref
 from conftest import best_of, random_words
+from reference import xor_compose
 from swapsensus import (
     CertificationFailure,
     Disentanglement,
     Infeasible,
     Instance,
-    NotMatching,
     SwapStr,
     disentangle,
     swap_distance,
     swap_string,
-    xor_compose,
 )
 
 TANGLED_SHORT = ("gabcahi", "gcaabih", "gcabaih")
@@ -356,21 +355,46 @@ def test_certification_is_linear_in_k():
     assert fit.slope <= 1.5, f"log-log slope {fit.slope:.2f} exceeds 1.5 ({times})"
 
 
-def _mismatch(base, word):
-    raise NotMatching(2)
+def test_the_encodings_are_read_off_the_scan(monkeypatch):
+    # Each encoding is read off the benign pairs the scan skipped; no swap
+    # string is traced, so swaps._trace is never called.
+    swaps = sys.modules["swapsensus.swaps"]
+    trace, calls = swaps._trace, []
+    monkeypatch.setattr(swaps, "_trace", lambda s, t: calls.append(s) or trace(s, t))
+    rng = random.Random(407)
+    families = [matching_family(rng, 12, 4) for _ in range(200)]
+    for words in (TANGLED_SHORT, TANGLED_LONG, *families):
+        assert isinstance(disentangle(Instance(words)), Disentanglement)
+    assert calls == []
+
+
+# A benign pair at columns 1-2 and a tangled interval at 3-5, where word 2
+# takes the one necessary swap.
+ROGUE_WORDS = ("xyabc", "yxbac", "xyacb", "yxabc")
 
 
 @pytest.mark.parametrize(
-    "fake",
+    "result",
     [
-        _mismatch,
-        # Valid swap strings whose union "11" has adjacent ones.
-        lambda base, word: SwapStr("10" if word == "abc" else "01", 3),
+        # Differs from the first result outside the benign pair, and no swap
+        # permutation turns one into the other.
+        "yxbca",
+        # Breaks the benign pair: it matches the first result by the swap at
+        # 2, but that swap and word 4's at 1 are adjacent.
+        "xaybc",
     ],
     ids=["not-matching", "adjacent-union"],
 )
-def test_failed_safety_net_is_a_bug_not_a_no(monkeypatch, fake):
-    # The package attribute disentangle is the function; patch the module.
-    monkeypatch.setattr(sys.modules["swapsensus.disentangle"], "swap_string", fake)
+def test_failed_safety_net_is_a_bug_not_a_no(monkeypatch, result):
+    inst = Instance(ROGUE_WORDS)
+    dz = disentangle(inst)
+    assert (dz.tangled_intervals, dz.bit_columns) == (((3, 5),), (0,))
+    # A rogue scan rebuilds word 2 as result. The package attribute
+    # disentangle is the function; patch the module.
+    module = sys.modules["swapsensus.disentangle"]
+    apply = module._apply
+    monkeypatch.setattr(
+        module, "_apply", lambda s, at: result if s == ROGUE_WORDS[1] else apply(s, at)
+    )
     with pytest.raises(CertificationFailure):
-        disentangle(Instance(("abc", "bac")))
+        disentangle(inst)

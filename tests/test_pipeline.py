@@ -14,6 +14,7 @@ import pytest
 
 import reference as ref
 from conftest import random_words, slow_calls
+from reference import xor_compose
 from swapsensus import (
     INF,
     BudgetedInstance,
@@ -38,7 +39,6 @@ from swapsensus import (
     sum_consensus_swap,
     swap_distance,
     swap_string,
-    xor_compose,
 )
 
 TANGLED_LONG = (

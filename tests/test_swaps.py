@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
-from reference import Blocked, Matching, PrerequisiteNotMatching, three_way_match
+from reference import (
+    Blocked,
+    Matching,
+    PrerequisiteNotMatching,
+    three_way_match,
+    xor_compose,
+)
 from swapsensus import (
     INF,
     LengthMismatch,
@@ -24,7 +30,6 @@ from swapsensus import (
     apply_swaps,
     swap_distance,
     swap_string,
-    xor_compose,
 )
 
 
