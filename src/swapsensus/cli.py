@@ -136,7 +136,7 @@ def _disentanglement_payload(dz: Disentanglement) -> dict:
 def _trace_payload(trace: SwapPipelineTrace) -> dict:
     return {
         **_disentanglement_payload(trace.disentanglement),
-        "encoded": [str(h) for h in trace.encoded],
+        "encoded": [str(h) for h in trace.disentanglement.encoded],
         "consensus_bits": str(trace.h_star),
         "decoded": trace.decoded,
     }

@@ -432,13 +432,14 @@ def columns(words: Iterable[Word]) -> list[str]:
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 
-    One word per line; blank lines are ignored; lines starting with ``#`` are
-    comments. Raises UnequalLengths (with the offending line number),
-    EmptyInstance, or InvalidSymbol (whitespace inside a word).
+    One word per line, ended by a line feed alone; blank lines are ignored;
+    lines starting with ``#`` are comments. Raises UnequalLengths (with the
+    offending line number), EmptyInstance, or InvalidSymbol (whitespace
+    inside a word, a lone carriage return or form feed included).
     """
     words: list[str] = []
     expected: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -35,7 +35,7 @@ from itertools import compress, repeat
 from operator import ne
 
 from .core import CertificationFailure, Instance, _Record, columns
-from .swaps import SwapStr, _apply
+from .swaps import _apply, _swap_str
 
 __all__ = ["Disentanglement", "Infeasible", "disentangle"]
 
@@ -191,10 +191,7 @@ def disentangle(inst: Instance) -> Disentanglement | Infeasible:
         at = [p for p in starts if w[p] != base[p]]
         if _apply(base, at) != w:
             raise CertificationFailure("disentangled words do not pairwise match")
-        bits = bytearray(b"0") * (n - 1)
-        for p in at:
-            bits[p] = ord("1")
-        encoding[w] = SwapStr(bits.decode(), n)
+        encoding[w] = _swap_str(at, n)
     hs = tuple(map(encoding.__getitem__, strings_prime))
 
     return Disentanglement(

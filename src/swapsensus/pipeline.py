@@ -10,17 +10,16 @@ each word as its swap string against the first disentangled word: these are
 the strings ``disentangle`` read off its bit columns and certified, so no
 stage encodes again. Budget additivity makes swap distances to any common
 match equal to the budget plus the Hamming distance between encodings. (3)
-Solve the corresponding budgeted Hamming problem on the encodings with the
-solver in ``solve``'s table, which reports each word's budget plus Hamming
-distance. The pipeline cuts the bit rows to the bit columns before it asks
-``solve``, and puts the other columns' zeroes back into the bit witness.
-When there is no bit column it keeps column 1, which is 0 in every row;
-each Hamming solver only returns symbols that occur in its input column, so
-the witness holds 0 there. (4) Decode the winning bit string back into a
-word and certify it with ``core.certified``, which recomputes every swap
+Solve the corresponding budgeted Hamming problem with the solver in
+``solve``'s table, which reports each word's budget plus Hamming distance.
+Its rows are the encodings cut to the bit columns, where every other column
+is 0. With no bit column every word disentangled to the same word, the only
+candidate, and no bit stage runs. (4) Decode: the bit columns where the
+witness holds a one are the swaps that turn the first disentangled word into
+the answer. Certify it with ``core.certified``, which recomputes every swap
 distance from scratch and checks the radius and sum bounds; each distance
-must then equal the bit stage's. A disagreement raises CertificationFailure, which always means an
-implementation bug.
+must then equal the bit stage's. A disagreement raises CertificationFailure,
+which always means an implementation bug.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .core import (
 )
 from .disentangle import Infeasible, disentangle
 from .solve import solve
-from .swaps import SwapStr, apply_swaps, swap_distance
+from .swaps import _apply, _swap_str, swap_distance
 
 __all__ = [
     "SwapPipelineTrace",
@@ -51,9 +50,9 @@ __all__ = [
 
 
 class SwapPipelineTrace(_Record):
-    """The full pipeline state of a solve: the output of stages 1 to 4."""
+    """Stages 1 to 4 of a solve; the encodings are ``disentanglement.encoded``."""
 
-    __slots__ = ("disentanglement", "encoded", "h_star", "decoded")
+    __slots__ = ("disentanglement", "h_star", "decoded")
 
 
 def _solve(
@@ -77,26 +76,21 @@ def _solve(
             None,
         )
 
-    base, encoded = dz.strings_prime[0], dz.encoded
-    if inst.n == 1:  # empty bit rows: the only candidate is the disentangled word
-        stats, bits, bit_dists = SearchStats(), "", dz.budgets
+    base, at = dz.strings_prime[0], dz.bit_columns
+    if not at:  # no benign pair: every word disentangled to base
+        stats, ones, bit_dists = SearchStats(), [], dz.budgets
     else:
-        # Cut the rows to the bit columns; one column is kept when there is
-        # none. Every other column is 0 in every row and in the bit witness,
-        # so it adds 0 to every distance.
-        at = dz.bit_columns or (0,)
         pick = itemgetter(*at)
-        rows = Instance(tuple("".join(pick(h.bits)) for h in encoded))
+        rows = Instance(tuple("".join(pick(h.bits)) for h in dz.encoded))
         ham, _ = solve("hamming", objective, rows, d, D, dz.budgets)
         if not ham.feasible:
             bounds = f"swap radius {d}" + ("" if D is None else f" and sum {D}")
             return ConsensusAnswer.none(f"no common match within {bounds}", ham.stats), None
-        chosen = dict(zip(at, ham.solution))
-        bits = "".join(chosen.get(p, "0") for p in range(inst.n - 1))
+        ones = [p for p, b in zip(at, ham.solution) if b == "1"]
         stats, bit_dists = ham.stats, ham.per_string_distances
 
-    h_star = SwapStr(bits, len(base))  # validity checked
-    decoded = apply_swaps(base, h_star)
+    h_star = _swap_str(ones, inst.n)
+    decoded = _apply(base, ones)
     answer = certified(inst.words, decoded, swap_distance, stats, d, D)
     # Budget additivity: each swap distance is the word's consumed budget
     # plus its encoded Hamming distance, as the bit stage reported.
@@ -107,7 +101,7 @@ def _solve(
                 f"word {i + 1}: recomputed swap distance {dist:g} != budget {x} "
                 f"+ encoded Hamming {int(expected) - x}"
             )
-    return answer, SwapPipelineTrace(dz, encoded, h_star, decoded)
+    return answer, SwapPipelineTrace(dz, h_star, decoded)
 
 
 @timed

@@ -148,6 +148,14 @@ def _apply(s: Word, at: Iterable[int]) -> Word:
     return "".join(out)
 
 
+def _swap_str(at: Iterable[int], n: int) -> SwapStr:
+    """The swap string of length n-1 with ones at the 0-based positions in at."""
+    bits = bytearray(b"0") * (n - 1)
+    for i in at:
+        bits[i] = ord("1")
+    return SwapStr(bits.decode(), n)  # validity checked
+
+
 def swap_string(s: Word, t: Word) -> SwapStr:
     """The unique swap permutation transforming s into t.
 
@@ -158,10 +166,7 @@ def swap_string(s: Word, t: Word) -> SwapStr:
     swaps, subs = _trace(s, t)
     if subs:
         raise NotMatching(subs[0] + 1)
-    bits = bytearray(b"0") * (len(s) - 1)
-    for i in swaps:
-        bits[i] = ord("1")
-    return SwapStr(bits.decode(), len(s))
+    return _swap_str(swaps, len(s))
 
 
 def apply_swaps(s: Word, h: SwapStr) -> Word:

@@ -124,7 +124,7 @@ def test_01_radius_pipeline_walkthrough():
     assert ans.solution == WALK_WITNESS
     assert ans.per_string_distances == (4, 4, 3)
     assert trace.disentanglement.strings_prime == WALK_PRIME
-    assert [h.bits for h in trace.encoded] == WALK_ENCODED
+    assert [h.bits for h in trace.disentanglement.encoded] == WALK_ENCODED
     assert trace.h_star.bits == WALK_H_STAR
     assert elapsed < 1.0, f"solve took {elapsed:.3f}s, bound is 1s"
 

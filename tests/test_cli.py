@@ -147,6 +147,22 @@ class TestConsensusCommand:
         assert result.stdout.startswith("status: infeasible\n")
         assert "trace:" not in result.stdout
 
+    def test_identical_words_run_no_bit_stage(self, tmp_path):
+        # No benign pair, so no bit column: every word disentangles to the
+        # same word, the only candidate, and no bit row is searched.
+        path = write_lines(tmp_path, "inst.txt", ("abcab",) * 3)
+        result, payload = invoke_json(
+            ["consensus", "--distance", "swap", "--objective", "radius", "-d", "0",
+             "--trace", path]
+        )
+        assert result.exit_code == 0
+        assert payload["witness"] == "abcab"
+        assert payload["per_string_distances"] == [0, 0, 0]
+        assert payload["stats"]["nodes_expanded"] == 0
+        assert payload["trace"]["encoded"] == ["0000"] * 3
+        assert payload["trace"]["consensus_bits"] == "0000"
+        assert payload["trace"]["decoded"] == "abcab"
+
     def test_swap_sum_infeasible(self, tmp_path):
         path = write_lines(tmp_path, "inst.txt", ("ababc", "abbca", "abacb"))
         result, payload = invoke_json(

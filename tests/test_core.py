@@ -128,6 +128,17 @@ class TestParseFormat:
         assert exc.value.symbol == "\t"
         assert str(exc.value) == "invalid symbol '\\t' in word at line 2"
 
+    @pytest.mark.parametrize(
+        "symbol", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_parse_breaks_lines_at_newline_only(self, symbol):
+        # str.splitlines() breaks at each of these too; inside a word they
+        # are whitespace, on the line they stand on.
+        for text in (f"ab{symbol}cd\nef\ngh\n", f"ab{symbol}cd\nabcd\n"):
+            with pytest.raises(InvalidSymbol) as exc:
+                parse_instance(text)
+            assert (exc.value.line, exc.value.symbol) == (1, symbol)
+
     def test_split_breaks_exactly_at_isspace(self):
         # parse_instance finds inner whitespace with str.split(); on every
         # code point, split() must break where str.isspace() holds, and
@@ -268,7 +279,6 @@ def _records() -> dict[str, tuple[type, dict]]:
         },
         swapsensus.SwapPipelineTrace: {
             "disentanglement": dz,
-            "encoded": enc,
             "h_star": swapsensus.SwapStr("0", 2),
             "decoded": "ab",
         },
