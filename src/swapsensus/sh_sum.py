@@ -36,9 +36,9 @@ once only the swap-free state and the swap set of all words are alive: the
 swap-free state appends the first word's symbols, and the all-words set
 reverses the first word's last two symbols at cost k. A quiet row where other
 swap sets live on (along a periodic stretch, say) is stepped by the rules.
-The returned table holds only the instance, so an answer-only caller keeps
-no row alive; its first read runs the DP again, writes the stretches out and
-turns the masks into sorted 1-based index tuples.
+The returned table is built when it is first read; only then are the rows
+inside the stretches written out and the masks turned into sorted 1-based
+index tuples.
 """
 
 from __future__ import annotations
@@ -119,26 +119,26 @@ def _quiet_row(w0: Word, k: int, stretch: Stretch, r: int) -> dict[int, tuple[in
 
 
 class _Table(Sequence[DPState]):
-    """The settled states of the DP's ``rows[1:]``, sorted by row and swap members.
+    """The settled states of ``rows[1:]``, sorted by row and swap members.
 
-    The table holds only its instance. Its first read runs the DP again and
-    builds the ``DPState`` tuple, with the rows inside the quiet stretches,
-    which the DP settles in closed form; so a caller that reads only the
-    answer neither pays for them nor keeps the DP's rows alive.
+    The ``DPState`` tuple is built when the table is first read, so a caller
+    that reads only the answer never pays for it; so are the rows inside the
+    quiet stretches, which the DP settles in closed form.
     """
 
-    def __init__(self, inst: Instance):
-        self._inst = inst
+    def __init__(self, rows: Rows, stretches: list[Stretch], w0: Word, k: int):
+        self._rows = rows
+        self._stretches = stretches
+        self._w0 = w0
+        self._k = k
 
     @cached_property
     def _states(self) -> tuple[DPState, ...]:
-        _, _, rows, stretches = _run_dp(self._inst, SearchStats())
-        w0, k = self._inst.words[0], self._inst.k
-        for stretch in stretches:
+        for stretch in self._stretches:
             L, b = stretch[:2]
             for r in range(L + 2, b):
-                rows[r] = _quiet_row(w0, k, stretch, r)
-        rows = rows[1:]
+                self._rows[r] = _quiet_row(self._w0, self._k, stretch, r)
+        rows = self._rows[1:]
         # Rows share few distinct swap sets; name each one once.
         names = {m: _members(m) for m in set().union(*rows)}
         return tuple(
@@ -162,7 +162,7 @@ class _Table(Sequence[DPState]):
         return NotImplemented
 
 
-def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows, list[Stretch]]:
+def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, _Table]:
     words = inst.words
     k, n = inst.k, inst.n
     w0 = words[0]
@@ -299,8 +299,8 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows, list[S
         L += 1
 
     # Every row but the empty prefix's, with those inside the stretches,
-    # which _Table writes out: each holds the swap-free state, and the
-    # all-words swap set where the first word's last two symbols differ.
+    # which _Table builds: each holds the swap-free state, and the all-words
+    # swap set where the first word's last two symbols differ.
     stats.dp_states += sum(map(len, rows)) - 1
     for L, b, _, _ in stretches:
         stats.dp_states += b - L - 2 + sum(map(ne, w0[L : b - 2], w0[L + 1 : b - 1]))
@@ -308,7 +308,7 @@ def _run_dp(inst: Instance, stats: SearchStats) -> tuple[Word, int, Rows, list[S
     if not final:
         raise CertificationFailure("the table's last row is empty")
     best_cost, best_word = min(final.values())
-    return best_word, best_cost, rows, stretches
+    return best_word, best_cost, _Table(rows, stretches, w0, k)
 
 
 @timed
@@ -320,16 +320,16 @@ def sum_consensus_sh(
     Always feasible as an optimization problem; with ``D`` given, the answer
     additionally decides whether the optimal sum is within ``D``. Returns the
     answer plus the full settled table, for k=1 and n=1 too; the table is a
-    read-only sequence of ``DPState`` that holds only the instance and runs
-    the DP again when first read. The witness's distances are recomputed
-    from scratch and must sum to the table's cost.
+    read-only sequence of ``DPState`` that is built when first read. The
+    witness's distances are recomputed from scratch and must sum to the
+    table's cost.
     """
     check_bounds("sum", None, D)
     stats = SearchStats()
-    witness, best_cost, _, _ = _run_dp(inst, stats)
+    witness, best_cost, table = _run_dp(inst, stats)
     answer = certified(inst.words, witness, sh_cost, stats)
     if answer.sum_distance != best_cost:
         raise CertificationFailure(
             f"table cost {best_cost} != recomputed sum {answer.sum_distance:g}"
         )
-    return decide_sum(answer, D), _Table(inst)
+    return decide_sum(answer, D), table

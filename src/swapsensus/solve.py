@@ -86,9 +86,9 @@ def solve(
     the Hamming metric only, whose answers then report budget + Hamming
     distance per word, as ``brute_force`` does. Returns ``(answer, detail)``:
     ``detail`` is the ``SwapPipelineTrace`` for the swap metric (None on its
-    early exits), the settled DP table for swap+substitution sum (its DP
-    runs again when it is first read), else None. Raises InvalidQuery (a
-    ValueError) where ``check_query`` does, with the CLI's messages.
+    early exits), the settled DP table for swap+substitution sum (built when
+    first read), else None. Raises InvalidQuery (a ValueError) where
+    ``check_query`` does, with the CLI's messages.
     """
     check_query(metric, objective, d, D, budgets is not None)
     module, entry = _SOLVERS[metric, objective]
